@@ -164,25 +164,11 @@ impl Experiment for ServeBench {
                 help: "extra sigma-Noisy-Load Gaussian on every comparison (0 = off)",
             },
             FlagSpec {
-                name: "--multicounter",
-                kind: FlagKind::Switch,
-                positive: false,
-                default: "off",
-                help: "back the service with one shared MultiCounter instead of shards",
-            },
-            FlagSpec {
                 name: "--replay",
                 kind: FlagKind::Switch,
                 positive: false,
                 default: "off",
                 help: "deterministic replay only (byte-stable output; no throughput)",
-            },
-            FlagSpec {
-                name: "--striped",
-                kind: FlagKind::Switch,
-                positive: false,
-                default: "off",
-                help: "refresh snapshots from the lock-free striped mirror (sharded backend)",
             },
         ]
     }
@@ -201,17 +187,7 @@ impl Experiment for ServeBench {
         if sigma < 0.0 {
             return Err(BenchError::Usage("--sigma must be non-negative".into()));
         }
-        let backend = if args.extras.switch("--multicounter") {
-            BackendKind::Multicounter
-        } else {
-            BackendKind::Sharded
-        };
         let replay_only = args.extras.switch("--replay");
-        let snapshot = if args.extras.switch("--striped") {
-            SnapshotPath::Striped
-        } else {
-            SnapshotPath::Buffered
-        };
 
         let request = Request {
             d,
@@ -221,14 +197,8 @@ impl Experiment for ServeBench {
                 NoiseMode::Snapshot
             },
         };
-        // The multicounter backend has no shards — collapsing the axis
-        // keeps the grid honest (and CI fast) instead of running
-        // byte-identical cells three times.
-        let shard_counts: Vec<usize> = if backend == BackendKind::Multicounter {
-            vec![1]
-        } else {
-            [1usize, 2, 4].into_iter().filter(|&s| s <= args.n).collect()
-        };
+        let shard_counts: Vec<usize> =
+            [1usize, 2, 4].into_iter().filter(|&s| s <= args.n).collect();
         let staleness_axis = staleness_grid(args.n);
         let cell_config = |shards: usize, staleness: Staleness| ServeConfig {
             n: args.n,
@@ -239,8 +209,8 @@ impl Experiment for ServeBench {
             staleness,
             buffer_capacity: buffer,
             inflight,
-            backend,
-            snapshot,
+            backend: BackendKind::Sharded,
+            snapshot: SnapshotPath::Buffered,
             // Deliberately *not* folding the shard count into the tag:
             // decisions only ever read snapshots of the global vector, so
             // at a fixed seed the replay digest must be identical for
@@ -352,8 +322,8 @@ impl Experiment for ServeBench {
             workers,
             d,
             sigma,
-            backend: format!("{backend:?}"),
-            snapshot: format!("{snapshot:?}"),
+            backend: format!("{:?}", BackendKind::Sharded),
+            snapshot: format!("{:?}", SnapshotPath::Buffered),
             buffer_capacity: buffer,
             inflight,
             requests_per_cell: args.m(),

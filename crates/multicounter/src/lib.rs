@@ -116,8 +116,8 @@ impl MultiCounter {
     }
 
     /// Copies a snapshot of the per-cell values into `dst` (each cell read
-    /// once, in order) without allocating — the refresh path of serving
-    /// front-ends that treat the counter as a load backend.
+    /// once, in order) without allocating — the read half of an external
+    /// policy that decides against its own stale snapshot.
     ///
     /// # Panics
     ///
@@ -130,9 +130,9 @@ impl MultiCounter {
     }
 
     /// Increments cell `cell` directly, with the target chosen by the
-    /// caller — the backend hook for external two-choice policies (e.g. a
-    /// serving front-end deciding against its own stale snapshot) as
-    /// opposed to [`increment`](Self::increment)'s built-in rule.
+    /// caller — the write half of an external two-choice policy that
+    /// decides against its own snapshot, as opposed to
+    /// [`increment`](Self::increment)'s built-in rule.
     ///
     /// # Panics
     ///

@@ -32,7 +32,7 @@ fn hammer(counter: &MultiCounter, ops: usize, seed: u64) -> u64 {
             1 => handle.increment(),
             _ => {
                 // An externally decided two-choice against a one-off
-                // snapshot read — the serve backend's apply path.
+                // snapshot read.
                 let (i1, i2) = (rng.below_usize(w), rng.below_usize(w));
                 let cells = counter.cells();
                 counter.bump(if cells[i2] < cells[i1] { i2 } else { i1 });

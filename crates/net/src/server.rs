@@ -25,7 +25,7 @@ use balloc_core::rng::{point_seed, Fnv1a};
 use balloc_core::LoadState;
 use balloc_serve::{
     DirectCluster, InFlightLimit, InFlightLimitLayer, Layer, LoadShed, LoadShedLayer, LoadSink,
-    Permits, Request, ServeClock, Service, ShardCluster, ShardDirectory, ShardHandle,
+    NoiseMode, Permits, Request, ServeClock, Service, ShardCluster, ShardDirectory, ShardHandle,
     ShedCounter, SnapshotAllocator, SnapshotService, Staleness,
 };
 use epoll::{Epoll, Events, Interest, Token};
@@ -162,6 +162,17 @@ impl LoadSink for SharedSink {
     fn refresh(&mut self, snapshot: &mut [u64]) -> Result<(), balloc_serve::ServeError> {
         self.0.borrow_mut().refresh(snapshot)
     }
+}
+
+/// Whether a decoded `ALLOC` can reach the decision kernel: the codec
+/// carries any `d` and any sigma bits, but deciding needs at least one
+/// candidate and a finite, non-negative sigma.
+fn servable(req: &Request) -> bool {
+    let sigma_ok = match req.noise {
+        NoiseMode::Snapshot => true,
+        NoiseMode::Noisy { sigma } => sigma >= 0.0 && sigma.is_finite(),
+    };
+    req.d > 0 && sigma_ok
 }
 
 /// Per-connection dispatch state.
@@ -473,7 +484,17 @@ impl Reactor {
                 Ok(Some(frame)) => match frame {
                     Frame::Alloc { req_id, .. } => {
                         let req = frame.request().expect("ALLOC has a request");
-                        self.dispatch_alloc(entry, idx, req_id, req, &mut template);
+                        if servable(&req) {
+                            self.dispatch_alloc(entry, idx, req_id, req, &mut template);
+                        } else {
+                            // Flush first so replies keep request order.
+                            self.flush_run(entry, &mut template);
+                            entry.conn.queue(&Frame::RespErr {
+                                req_id,
+                                code: ErrorCode::Malformed,
+                            });
+                            self.protocol_errors += 1;
+                        }
                     }
                     Frame::Hello { client_id, epoch } => {
                         self.flush_run(entry, &mut template);

@@ -9,7 +9,9 @@ use balloc_net::wire::{encode, ErrorCode, Frame, FrameDecoder};
 use balloc_net::{
     run_loadgen, LoadGenConfig, NetConfig, NetServer, ServerMode, ServerReport, ShutdownHandle,
 };
-use balloc_serve::{run_replay, BackendKind, Request, ServeConfig, SnapshotPath, Staleness};
+use balloc_serve::{
+    run_replay, BackendKind, NoiseMode, Request, ServeConfig, SnapshotPath, Staleness,
+};
 
 /// Spawns a server, returning its address, shutdown handle, and the
 /// join handle that yields the final report.
@@ -261,6 +263,36 @@ fn malformed_frames_get_error_replies_not_panics() {
     stream.write_all(&[0x14, 0x00]).expect("write");
     drop(stream);
 
+    // Corpus 5: ALLOCs the codec accepts but no decision can serve —
+    // `d = 0` and a negative, NaN or infinite sigma. Each gets Malformed,
+    // and the connection keeps serving.
+    let mut bytes = Vec::new();
+    encode(&Frame::hello(0), &mut bytes);
+    let hostile = [
+        (NoiseMode::Snapshot, 0u16),
+        (NoiseMode::Noisy { sigma: -1.0 }, 2),
+        (NoiseMode::Noisy { sigma: f64::NAN }, 2),
+        (NoiseMode::Noisy { sigma: f64::INFINITY }, 2),
+    ];
+    for (req_id, &(noise, d)) in (20u64..).zip(&hostile) {
+        encode(&Frame::Alloc { req_id, d, noise }, &mut bytes);
+    }
+    encode(&Frame::alloc(30, &Request::two_choice()), &mut bytes);
+    let frames = raw_exchange(addr, &bytes, hostile.len() + 1);
+    assert_eq!(frames.len(), hostile.len() + 1, "server dropped the connection: {frames:?}");
+    let expect: Vec<Frame> = (20u64..)
+        .take(hostile.len())
+        .map(|req_id| Frame::RespErr {
+            req_id,
+            code: ErrorCode::Malformed,
+        })
+        .collect();
+    assert_eq!(frames[..hostile.len()], expect[..], "{frames:?}");
+    assert!(
+        matches!(frames[hostile.len()], Frame::RespBin { req_id: 30, .. }),
+        "connection must survive unservable ALLOCs: {frames:?}"
+    );
+
     // The server is still alive and serving correctly after all of it.
     let report = run_loadgen(&LoadGenConfig {
         addr,
@@ -276,7 +308,7 @@ fn malformed_frames_get_error_replies_not_panics() {
 
     shutdown.shutdown();
     let server = join.join().expect("server thread");
-    assert!(server.protocol_errors >= 3, "got {}", server.protocol_errors);
+    assert!(server.protocol_errors >= 7, "got {}", server.protocol_errors);
     assert_eq!(server.state.balls(), server.served);
 }
 

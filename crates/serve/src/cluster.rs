@@ -15,17 +15,22 @@ use balloc_core::LoadState;
 
 use crate::buffer::{Buffer, BufferController};
 use crate::directory::ShardDirectory;
-use crate::engine::ShardWorkerHook;
 use crate::service::{ServeError, Service};
 use crate::shard::{merge_states, ShardRequest, ShardResponse, ShardService};
 use crate::sink::LoadSink;
-use crate::striped::StripedLoads;
 use crate::SnapshotPath;
 
+/// A per-shard worker start hook: called once on each shard worker's own
+/// OS thread, with the shard index, before the worker serves its first
+/// request. The seam for CPU pinning / NUMA placement — the workspace has
+/// no affinity syscalls of its own (no `unsafe`, no libc), so the caller
+/// supplies whatever binding its platform offers.
+pub type ShardWorkerHook = Arc<dyn Fn(usize) + Send + Sync>;
+
 /// `S` shard workers, each an owned [`ShardService`] behind a bounded
-/// [`Buffer`], optionally publishing into a shared [`StripedLoads`]
-/// mirror. Handles fan applies out by bin range; [`join`](Self::join)
-/// drains the workers and reassembles the authoritative state.
+/// [`Buffer`]. Handles fan applies out by bin range;
+/// [`join`](Self::join) drains the workers and reassembles the
+/// authoritative state.
 #[derive(Debug)]
 pub struct ShardCluster {
     template: ShardHandle,
@@ -34,9 +39,8 @@ pub struct ShardCluster {
 
 impl ShardCluster {
     /// Spawns the shard workers for `n` bins over `shards` shards, each
-    /// with a request buffer of `capacity`. Under
-    /// [`SnapshotPath::Striped`] the workers also publish every applied
-    /// load into the shared mirror, and refreshes scan it wait-free.
+    /// with a request buffer of `capacity`. Refreshes read through
+    /// `snapshot`, whose one variant round-trips every shard's buffer.
     /// `on_worker` (if given) runs once on each worker's own thread
     /// before it serves — the CPU-pinning seam.
     ///
@@ -51,18 +55,13 @@ impl ShardCluster {
         snapshot: SnapshotPath,
         on_worker: Option<ShardWorkerHook>,
     ) -> Self {
-        let striped = match snapshot {
-            SnapshotPath::Striped => Some(Arc::new(StripedLoads::new(n))),
-            SnapshotPath::Buffered => None,
-        };
+        // Irrefutable: a new snapshot path must be wired in here.
+        let SnapshotPath::Buffered = snapshot;
         let directory = ShardDirectory::uniform(n, shards);
         let mut handles = Vec::new();
         let mut controllers = Vec::new();
         for (s, range) in directory.ranges().into_iter().enumerate() {
-            let shard = match &striped {
-                Some(mirror) => ShardService::with_striped(range.clone(), Arc::clone(mirror)),
-                None => ShardService::new(range.clone()),
-            };
+            let shard = ShardService::new(range.clone());
             let hook = on_worker.clone();
             let (handle, controller) = Buffer::spawn_with(shard, capacity, move || {
                 if let Some(hook) = hook {
@@ -75,7 +74,6 @@ impl ShardCluster {
         Self {
             template: ShardHandle {
                 shards: handles,
-                striped,
                 directory,
             },
             controllers,
@@ -104,12 +102,10 @@ impl ShardCluster {
 
 /// Cloneable [`LoadSink`] into a [`ShardCluster`]: applies are
 /// fire-and-forget casts into the owning shard's buffer (a full buffer is
-/// back-pressure), refreshes either round-trip every shard or scan the
-/// striped mirror.
+/// back-pressure), refreshes round-trip every shard.
 #[derive(Debug, Clone)]
 pub struct ShardHandle {
     shards: Vec<(std::ops::Range<usize>, Buffer<ShardRequest, ShardResponse>)>,
-    striped: Option<Arc<StripedLoads>>,
     directory: ShardDirectory,
 }
 
@@ -123,12 +119,6 @@ impl LoadSink for ShardHandle {
     }
 
     fn refresh(&mut self, snapshot: &mut [u64]) -> Result<(), ServeError> {
-        if let Some(striped) = &self.striped {
-            // Wait-free scan of the published stripes — never blocks
-            // behind queued applies, allocates nothing.
-            striped.read_into(snapshot);
-            return Ok(());
-        }
         for (range, shard) in &mut self.shards {
             match shard.call(ShardRequest::ReadLoads)? {
                 ShardResponse::Loads(loads) => {
@@ -186,28 +176,15 @@ impl LoadSink for DirectCluster {
     }
 }
 
-/// `&mut`-borrowed sinks are sinks: lets one owner (the reactor) share a
-/// [`DirectCluster`] across per-connection services one call at a time.
-impl<K: LoadSink + ?Sized> LoadSink for &mut K {
-    fn apply(&mut self, bin: usize) -> Result<(), ServeError> {
-        (**self).apply(bin)
-    }
-
-    fn refresh(&mut self, snapshot: &mut [u64]) -> Result<(), ServeError> {
-        (**self).refresh(snapshot)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::shard_ranges;
 
     #[test]
     fn directory_slots_agree_with_shard_ranges() {
         for (n, shards) in [(10usize, 3usize), (128, 8), (7, 7), (1000, 13), (64, 1)] {
             let directory = ShardDirectory::uniform(n, shards);
-            let ranges = shard_ranges(n, shards);
+            let ranges = directory.ranges();
             for bin in 0..n {
                 let s = directory.slot_of(bin);
                 assert!(
@@ -252,24 +229,38 @@ mod tests {
     }
 
     #[test]
-    fn striped_cluster_mirror_tracks_applies() {
-        let cluster = ShardCluster::spawn(8, 2, 64, SnapshotPath::Striped, None);
+    fn shard_worker_hook_fires_once_per_shard_on_the_worker_thread() {
+        use std::sync::Mutex;
+
+        let seen: Arc<Mutex<Vec<(usize, std::thread::ThreadId)>>> =
+            Arc::new(Mutex::new(Vec::new()));
+        let hook: ShardWorkerHook = {
+            let seen = Arc::clone(&seen);
+            Arc::new(move |shard| {
+                seen.lock().unwrap().push((shard, std::thread::current().id()));
+            })
+        };
+        let cluster = ShardCluster::spawn(64, 4, 64, SnapshotPath::Buffered, Some(hook));
         let mut handle = cluster.handle();
-        for _ in 0..5 {
-            handle.apply(6).unwrap();
+        for bin in 0..64usize {
+            handle.apply(bin).unwrap();
         }
-        // The mirror is published by the shard worker as it absorbs the
-        // casts; poll briefly rather than racing it.
-        let mut snap = vec![0; 8];
-        for _ in 0..1_000 {
-            handle.refresh(&mut snap).unwrap();
-            if snap[6] == 5 {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        assert_eq!(snap[6], 5);
         drop(handle);
-        assert_eq!(cluster.join().balls(), 5);
+        assert_eq!(cluster.join().balls(), 64);
+
+        let mut seen = seen.lock().unwrap().clone();
+        seen.sort_by_key(|&(shard, _)| shard);
+        let shards: Vec<usize> = seen.iter().map(|&(s, _)| s).collect();
+        assert_eq!(shards, vec![0, 1, 2, 3], "one start hook per shard, each exactly once");
+        // Each hook ran on its own worker's thread — and none on ours.
+        let me = std::thread::current().id();
+        for &(shard, tid) in &seen {
+            assert_ne!(tid, me, "hook for shard {shard} ran on the caller thread");
+        }
+        for a in 0..seen.len() {
+            for b in a + 1..seen.len() {
+                assert_ne!(seen[a].1, seen[b].1, "shards {a} and {b} shared a worker thread");
+            }
+        }
     }
 }

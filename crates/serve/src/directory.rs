@@ -120,9 +120,9 @@ impl ShardDirectory {
 
     /// The static layout every pre-directory caller wired by hand:
     /// `shards` members inserted at tick 0 under
-    /// [`RebalanceKind::Proportional`], so member slot `s` owns exactly
-    /// the bins the old `shard_ranges(n, shards)` block partition gave
-    /// it.
+    /// [`RebalanceKind::Proportional`], so member slot `s` owns the
+    /// contiguous block `s·n/S .. (s+1)·n/S` (block sizes differ by at
+    /// most one).
     ///
     /// # Panics
     ///
@@ -405,7 +405,8 @@ mod tests {
 
     #[test]
     fn uniform_reproduces_the_block_partition() {
-        for (n, s) in [(10, 3), (64, 4), (7, 7), (128, 1)] {
+        assert_eq!(ShardDirectory::uniform(10, 3).ranges(), vec![0..3, 3..6, 6..10]);
+        for (n, s) in [(10, 3), (64, 4), (7, 7), (128, 1), (128, 8), (1000, 13), (64, 1)] {
             let dir = ShardDirectory::uniform(n, s);
             assert_eq!(dir.len(), s);
             assert_eq!(dir.epoch(), MembershipEpoch(s as u64));

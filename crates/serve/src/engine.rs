@@ -18,12 +18,10 @@
 //!   PR 2's sweep seeding and PR 4's batched-engine guarantees to the
 //!   serving layer).
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use balloc_core::rng::{point_seed, Fnv1a};
 use balloc_core::LoadState;
-use balloc_multicounter::MultiCounter;
 
 use crate::cluster::{DirectCluster, ShardCluster};
 use crate::limit::{InFlightLimitLayer, Permits};
@@ -33,41 +31,42 @@ use crate::sink::{LoadSink, ServeClock, SnapshotService};
 use crate::snapshot::{SnapshotAllocator, Staleness};
 
 /// Which authoritative load store backs the service.
+///
+/// A single variant: the shards are the only store. The enum stays
+/// because configurations, the `perfbench` benchmark's included, name
+/// their store in [`ServeConfig`] literals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
     /// `S` shards, each an owned [`LoadState`] behind a buffer worker
     /// (replay: called directly).
     Sharded,
-    /// One shared [`MultiCounter`] with `n` cells — the service then
-    /// doubles as a stress harness for the counter (applies are
-    /// `fetch_add`s, refreshes are cell scans).
-    Multicounter,
 }
 
-/// How snapshot refreshes read the global load vector (sharded backend,
-/// concurrent mode — replay always reads shards directly, and the
-/// multicounter backend scans its own cells).
+/// How concurrent-mode snapshot refreshes read the sharded loads (replay
+/// always reads shards directly).
+///
+/// A single variant: the gap depends on how stale a snapshot is, not on
+/// how it is read, and a lock-free striped mirror measured at parity
+/// with this path (`docs/PERFORMANCE.md`). The enum stays because
+/// configurations, the `perfbench` benchmark's included, name their
+/// snapshot path in [`ServeConfig`] literals and
+/// [`ShardCluster::spawn`] calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SnapshotPath {
-    /// Round-trip a [`ShardRequest::ReadLoads`](crate::ShardRequest::ReadLoads) through every shard's
-    /// request buffer: the PR 5 path. Reads serialize behind queued
-    /// applies and each reply allocates — refresh cost grows as
+    /// Round-trip a [`ShardRequest::ReadLoads`](crate::ShardRequest::ReadLoads)
+    /// through every shard's request buffer. Reads serialize behind
+    /// queued applies and each reply allocates — refresh cost grows as
     /// `workers × shards` blocking calls.
     #[default]
     Buffered,
-    /// Scan the shared [`StripedLoads`](crate::StripedLoads) mirror: shard workers publish
-    /// their stripe as they apply (one relaxed store per placement) and
-    /// refreshes are a wait-free read of all `n` cells — no full-state
-    /// lock, no round-trip, no allocation.
-    Striped,
 }
 
 /// Configuration of one serve run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
-    /// Number of bins (cells under [`BackendKind::Multicounter`]).
+    /// Number of bins.
     pub n: usize,
-    /// Number of shards (ignored by the multicounter backend).
+    /// Number of shards.
     pub shards: usize,
     /// Serving workers (threads in concurrent mode, virtual round-robin
     /// workers in replay mode).
@@ -119,15 +118,14 @@ impl ServeConfig {
             "in-flight limit must be positive (use None for unlimited)"
         );
         self.staleness.validate();
-        if self.backend == BackendKind::Sharded {
-            // shard_ranges re-checks, but fail early with the full story.
-            assert!(
-                self.shards > 0 && self.shards <= self.n,
-                "shards must lie in 1..=n (got {} shards over {} bins)",
-                self.shards,
-                self.n
-            );
-        }
+        // ShardDirectory::uniform re-checks, but fail early with the full
+        // story.
+        assert!(
+            self.shards > 0 && self.shards <= self.n,
+            "shards must lie in 1..=n (got {} shards over {} bins)",
+            self.shards,
+            self.n
+        );
     }
 
     /// Requests served by worker `w` (round-robin split of
@@ -214,25 +212,6 @@ pub struct ReplayOutcome {
     pub digest: u64,
 }
 
-/// Multicounter sink (both modes): applies are `fetch_add`s on the shared
-/// counter, refreshes scan the cells.
-#[derive(Clone)]
-struct CounterSink {
-    counter: Arc<MultiCounter>,
-}
-
-impl LoadSink for CounterSink {
-    fn apply(&mut self, bin: usize) -> Result<(), ServeError> {
-        self.counter.bump(bin);
-        Ok(())
-    }
-
-    fn refresh(&mut self, snapshot: &mut [u64]) -> Result<(), ServeError> {
-        self.counter.cells_into(snapshot);
-        Ok(())
-    }
-}
-
 /// Per-worker closed-loop counters.
 struct WorkerStats {
     allocated: u64,
@@ -293,76 +272,24 @@ fn worker_loop<K: LoadSink>(
 /// ```
 #[must_use]
 pub fn run_concurrent(cfg: &ServeConfig) -> ServeOutcome {
-    run_concurrent_with(cfg, None)
-}
-
-/// A per-shard worker start hook: called once on each shard worker's own
-/// OS thread, with the shard index, before the worker serves its first
-/// request. The seam for CPU pinning / NUMA placement — the workspace has
-/// no affinity syscalls of its own (no `unsafe`, no libc), so the caller
-/// supplies whatever binding its platform offers.
-pub type ShardWorkerHook = Arc<dyn Fn(usize) + Send + Sync>;
-
-/// [`run_concurrent`] with an optional [`ShardWorkerHook`] (sharded
-/// backend only; the multicounter backend spawns no shard workers, so the
-/// hook is never called there).
-///
-/// # Panics
-///
-/// Panics on an invalid configuration or a non-shed worker failure, like
-/// [`run_concurrent`].
-#[must_use]
-pub fn run_concurrent_with(cfg: &ServeConfig, on_shard_worker: Option<ShardWorkerHook>) -> ServeOutcome {
     cfg.validate();
     let clock = ServeClock::new();
     // No explicit limit ⇒ one permit per worker, which can never bind
     // (each closed-loop worker has at most one request in flight).
     let permits = Permits::new(cfg.inflight.unwrap_or(cfg.workers));
     let shed = ShedCounter::new();
-    match cfg.backend {
-        BackendKind::Sharded => {
-            let cluster = ShardCluster::spawn(
-                cfg.n,
-                cfg.shards,
-                cfg.buffer_capacity,
-                cfg.snapshot,
-                on_shard_worker,
-            );
-            let handle = cluster.handle();
-            let (stats, elapsed) = closed_loop(cfg, &clock, &permits, &shed, &handle);
-            drop(handle);
-            let state = cluster.join();
-            finish(cfg, stats, elapsed, &shed, &state)
-        }
-        BackendKind::Multicounter => {
-            let sink = CounterSink {
-                counter: Arc::new(MultiCounter::new(cfg.n)),
-            };
-            let (stats, elapsed) = closed_loop(cfg, &clock, &permits, &shed, &sink);
-            let state = LoadState::from_loads(sink.counter.cells());
-            finish(cfg, stats, elapsed, &shed, &state)
-        }
-    }
-}
-
-/// Fans the worker loops out over the work-stealing pool and times them.
-fn closed_loop<K>(
-    cfg: &ServeConfig,
-    clock: &ServeClock,
-    permits: &Permits,
-    shed: &ShedCounter,
-    sink: &K,
-) -> (Vec<WorkerStats>, Duration)
-where
-    K: LoadSink + Clone + Sync,
-{
+    let cluster = ShardCluster::spawn(cfg.n, cfg.shards, cfg.buffer_capacity, cfg.snapshot, None);
+    let handle = cluster.handle();
     // balloc-lint: allow(L002): real-throughput measurement only — the
     // elapsed Duration is reported, never fed into allocation decisions.
     let start = Instant::now();
     let stats = workpool::par_map_indexed(cfg.workers, cfg.workers, |w| {
-        worker_loop(cfg, w, sink.clone(), clock.clone(), permits, shed)
+        worker_loop(cfg, w, handle.clone(), clock.clone(), &permits, &shed)
     });
-    (stats, start.elapsed())
+    let elapsed = start.elapsed();
+    drop(handle);
+    let state = cluster.join();
+    finish(cfg, stats, elapsed, &shed, &state)
 }
 
 /// Folds worker stats and the final state into a [`ServeOutcome`],
@@ -424,40 +351,7 @@ fn finish(
 #[must_use]
 pub fn run_replay(cfg: &ServeConfig) -> ReplayOutcome {
     cfg.validate();
-    match cfg.backend {
-        BackendKind::Sharded => {
-            let sink = DirectCluster::new(cfg.n, cfg.shards);
-            let (outcome_parts, digest, sink) = replay_loop(cfg, sink);
-            let state = sink.state();
-            let (stats, elapsed) = outcome_parts;
-            let shed = ShedCounter::new();
-            ReplayOutcome {
-                outcome: finish(cfg, stats, elapsed, &shed, &state),
-                digest,
-            }
-        }
-        BackendKind::Multicounter => {
-            let sink = CounterSink {
-                counter: Arc::new(MultiCounter::new(cfg.n)),
-            };
-            let (outcome_parts, digest, sink) = replay_loop(cfg, sink);
-            let state = LoadState::from_loads(sink.counter.cells());
-            let (stats, elapsed) = outcome_parts;
-            let shed = ShedCounter::new();
-            ReplayOutcome {
-                outcome: finish(cfg, stats, elapsed, &shed, &state),
-                digest,
-            }
-        }
-    }
-}
-
-/// The round-robin single-threaded loop shared by both replay backends.
-#[allow(clippy::type_complexity)]
-fn replay_loop<K: LoadSink>(
-    cfg: &ServeConfig,
-    mut sink: K,
-) -> ((Vec<WorkerStats>, Duration), u64, K) {
+    let mut sink = DirectCluster::new(cfg.n, cfg.shards);
     let mut workers: Vec<SnapshotAllocator> = (0..cfg.workers)
         .map(|w| SnapshotAllocator::new(cfg.n, cfg.staleness, point_seed(cfg.seed, w as u64)))
         .collect();
@@ -490,7 +384,10 @@ fn replay_loop<K: LoadSink>(
             refreshes: alloc.refreshes(),
         })
         .collect();
-    ((stats, elapsed), digest.finish(), sink)
+    ReplayOutcome {
+        outcome: finish(cfg, stats, elapsed, &ShedCounter::new(), &sink.state()),
+        digest: digest.finish(),
+    }
 }
 
 #[cfg(test)]
@@ -509,90 +406,15 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_multicounter_backend_counts_exactly() {
-        let mut cfg = ServeConfig::demo(32, 1, 5);
-        cfg.backend = BackendKind::Multicounter;
-        cfg.workers = 4;
-        let outcome = run_concurrent(&cfg);
-        // The counter sink never sheds: every request lands.
-        assert_eq!(outcome.allocated, cfg.requests);
-        assert_eq!(outcome.shed, 0);
-    }
-
-    #[test]
-    fn striped_snapshot_path_conserves_every_request() {
-        let mut cfg = ServeConfig::demo(64, 4, 3);
-        cfg.workers = 4;
-        cfg.snapshot = SnapshotPath::Striped;
-        let outcome = run_concurrent(&cfg);
-        // Same conservation contract as the buffered path: the mirror is
-        // read-only advice, the authoritative shard states still absorb
-        // every allocated ball (re-asserted inside `finish`).
-        assert_eq!(outcome.allocated + outcome.shed, outcome.requests);
-        assert!(outcome.refreshes >= cfg.workers as u64, "each worker primes once");
-    }
-
-    #[test]
-    fn shard_worker_hook_fires_once_per_shard_on_the_worker_thread() {
-        use std::sync::Mutex;
-
-        let mut cfg = ServeConfig::demo(64, 4, 13);
-        cfg.snapshot = SnapshotPath::Striped;
-        let seen: Arc<Mutex<Vec<(usize, std::thread::ThreadId)>>> =
-            Arc::new(Mutex::new(Vec::new()));
-        let hook: ShardWorkerHook = {
-            let seen = Arc::clone(&seen);
-            Arc::new(move |shard| {
-                seen.lock().unwrap().push((shard, std::thread::current().id()));
-            })
-        };
-        let outcome = run_concurrent_with(&cfg, Some(hook));
-        assert_eq!(outcome.allocated + outcome.shed, cfg.requests);
-
-        let mut seen = seen.lock().unwrap().clone();
-        seen.sort_by_key(|&(shard, _)| shard);
-        let shards: Vec<usize> = seen.iter().map(|&(s, _)| s).collect();
-        assert_eq!(shards, vec![0, 1, 2, 3], "one start hook per shard, each exactly once");
-        // Each hook ran on its own worker's thread — and none on ours.
-        let me = std::thread::current().id();
-        for &(shard, tid) in &seen {
-            assert_ne!(tid, me, "hook for shard {shard} ran on the caller thread");
-        }
-        for a in 0..seen.len() {
-            for b in a + 1..seen.len() {
-                assert_ne!(seen[a].1, seen[b].1, "shards {a} and {b} shared a worker thread");
-            }
-        }
-    }
-
-    #[test]
-    fn replay_ignores_the_snapshot_path() {
-        // Replay reads shards directly (DirectShards) in both cases: the
-        // concurrent-only mirror must not leak into the deterministic
-        // decision stream.
-        let mut buffered = ServeConfig::demo(64, 4, 9);
-        buffered.snapshot = SnapshotPath::Buffered;
-        let mut striped = buffered;
-        striped.snapshot = SnapshotPath::Striped;
-        let a = run_replay(&buffered);
-        let b = run_replay(&striped);
+    fn replay_is_bit_identical_across_runs() {
+        let mut cfg = ServeConfig::demo(64, 4, 11);
+        cfg.workers = 3;
+        let a = run_replay(&cfg);
+        let b = run_replay(&cfg);
         assert_eq!(a.digest, b.digest);
         assert_eq!(a.outcome.gap, b.outcome.gap);
-    }
-
-    #[test]
-    fn replay_is_bit_identical_across_runs() {
-        for backend in [BackendKind::Sharded, BackendKind::Multicounter] {
-            let mut cfg = ServeConfig::demo(64, 4, 11);
-            cfg.backend = backend;
-            cfg.workers = 3;
-            let a = run_replay(&cfg);
-            let b = run_replay(&cfg);
-            assert_eq!(a.digest, b.digest, "{backend:?}");
-            assert_eq!(a.outcome.gap, b.outcome.gap);
-            assert_eq!(a.outcome.max_load, b.outcome.max_load);
-            assert_eq!(a.outcome.allocated, b.outcome.allocated);
-        }
+        assert_eq!(a.outcome.max_load, b.outcome.max_load);
+        assert_eq!(a.outcome.allocated, b.outcome.allocated);
     }
 
     #[test]

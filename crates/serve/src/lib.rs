@@ -34,10 +34,13 @@
 //!   snapshots refreshed every `b` own requests (`b-Batch`) or at age `τ`
 //!   (`τ-Delay`);
 //! * [`run_concurrent`]/[`run_replay`] — the closed-loop engine and its
-//!   deterministic single-threaded replay twin;
-//! * [`BackendKind::Multicounter`] — swaps the sharded store for a
-//!   [`MultiCounter`](balloc_multicounter::MultiCounter), turning the
-//!   engine into a stress harness for the counter.
+//!   deterministic single-threaded replay twin.
+//!
+//! There is one store (the shards) and one snapshot path (a buffered
+//! [`ShardRequest::ReadLoads`] round-trip per shard): the paper's
+//! b-Batch/τ-Delay noise makes the gap depend on how stale a snapshot
+//! is, not on how it is read. [`SnapshotPath`] and [`BackendKind`] say
+//! why each keeps a single variant.
 //!
 //! # Resilience middleware
 //!
@@ -111,20 +114,19 @@ mod shard;
 mod shed;
 mod sink;
 mod snapshot;
-mod striped;
 mod timeout;
 
 pub use autoscale::{AutoscaleConfig, Autoscaler, ScaleAction};
 pub use breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker, CircuitBreakerLayer};
 pub use buffer::{Buffer, BufferController};
 pub use churn::{run_churn, ChurnConfig, ChurnOutcome, ChurnReport, PlannedChange};
-pub use cluster::{DirectCluster, ShardCluster, ShardHandle};
+pub use cluster::{DirectCluster, ShardCluster, ShardHandle, ShardWorkerHook};
 pub use directory::{
     BinMove, Change, MembershipEpoch, RebalanceKind, ShardDirectory, ShardId,
 };
 pub use engine::{
-    run_concurrent, run_concurrent_with, run_replay, worker_share, BackendKind, ReplayOutcome,
-    ServeConfig, ServeOutcome, ShardWorkerHook, SnapshotPath,
+    run_concurrent, run_replay, worker_share, BackendKind, ReplayOutcome, ServeConfig,
+    ServeOutcome, SnapshotPath,
 };
 pub use fault::{FaultKind, FaultPlan, FaultStats, FaultyShard, ShardRole};
 pub use hedge::{Hedge, HedgeConfig, HedgeLayer, HedgeStats, HedgeSteer, LatencyHistogram};
@@ -135,9 +137,8 @@ pub use resilience::{
 };
 pub use retry::{retryable, Retry, RetryBudget, RetryConfig, RetryLayer, RetryStats};
 pub use service::{decide, Layer, NoiseMode, Request, Response, ServeError, Service};
-pub use shard::{merge_states, shard_ranges, ShardRequest, ShardResponse, ShardService};
+pub use shard::{merge_states, ShardRequest, ShardResponse, ShardService};
 pub use shed::{LoadShed, LoadShedLayer, ShedCounter};
 pub use sink::{LoadSink, ServeClock, SnapshotService};
 pub use snapshot::{SnapshotAllocator, Staleness};
-pub use striped::StripedLoads;
 pub use timeout::{Timeout, TimeoutLayer, TimeoutStats};

@@ -8,39 +8,10 @@
 //! what puts the service in the paper's `b-Batch`/`τ-Delay` regimes.
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use balloc_core::LoadState;
 
-use crate::directory::ShardDirectory;
 use crate::service::{ServeError, Service};
-use crate::striped::StripedLoads;
-
-/// The contiguous bin ranges of `shards` shards over `n` bins
-/// (workpool-style `s·n/S .. (s+1)·n/S` blocks: sizes differ by at most
-/// one and every bin is covered exactly once).
-///
-/// Since the elastic-membership refactor this is a thin view over
-/// [`ShardDirectory::uniform`] — the directory owns all bin↔shard
-/// arithmetic (lint L008 enforces that), and this helper remains for
-/// call sites that want the static block partition without carrying a
-/// directory around.
-///
-/// # Panics
-///
-/// Panics if `shards == 0` or `shards > n` (a shard must own at least one
-/// bin — [`LoadState`] has no empty configuration).
-///
-/// # Examples
-///
-/// ```
-/// let ranges = balloc_serve::shard_ranges(10, 3);
-/// assert_eq!(ranges, vec![0..3, 3..6, 6..10]);
-/// ```
-#[must_use]
-pub fn shard_ranges(n: usize, shards: usize) -> Vec<Range<usize>> {
-    ShardDirectory::uniform(n, shards).ranges()
-}
 
 /// A request to one shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,9 +43,6 @@ pub struct ShardService {
     /// Global index of the first owned bin.
     lo: usize,
     state: LoadState,
-    /// Optional lock-free mirror this shard publishes its stripe to on
-    /// every apply (the scalable snapshot path).
-    striped: Option<Arc<StripedLoads>>,
 }
 
 impl ShardService {
@@ -88,29 +56,6 @@ impl ShardService {
         Self {
             lo: range.start,
             state: LoadState::new(range.len()),
-            striped: None,
-        }
-    }
-
-    /// Creates the shard owning `range`, publishing every load change to
-    /// its stripe of the shared [`StripedLoads`] mirror — one relaxed
-    /// store per apply, so snapshot refreshes can scan the mirror instead
-    /// of round-tripping [`ShardRequest::ReadLoads`] through the buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty or overruns the mirror.
-    #[must_use]
-    pub fn with_striped(range: Range<usize>, striped: Arc<StripedLoads>) -> Self {
-        assert!(
-            range.end <= striped.n(),
-            "shard range {range:?} overruns the {}-bin striped mirror",
-            striped.n()
-        );
-        Self {
-            lo: range.start,
-            state: LoadState::new(range.len()),
-            striped: Some(striped),
         }
     }
 
@@ -143,9 +88,6 @@ impl Service<ShardRequest> for ShardService {
             ShardRequest::Apply { bin } => {
                 let local = bin - self.lo;
                 self.state.allocate(local);
-                if let Some(striped) = &self.striped {
-                    striped.publish(bin, self.state.load(local));
-                }
                 Ok(ShardResponse::Applied)
             }
             ShardRequest::ReadLoads => Ok(ShardResponse::Loads(self.state.loads().to_vec())),
@@ -172,11 +114,12 @@ pub fn merge_states(shards: &[ShardService]) -> LoadState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::directory::ShardDirectory;
 
     #[test]
     fn ranges_cover_every_bin_exactly_once() {
         for (n, shards) in [(10, 1), (10, 3), (128, 8), (7, 7), (1000, 13)] {
-            let ranges = shard_ranges(n, shards);
+            let ranges = ShardDirectory::uniform(n, shards).ranges();
             assert_eq!(ranges.len(), shards);
             let mut covered = 0;
             for (i, r) in ranges.iter().enumerate() {
@@ -191,7 +134,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "shards must lie in 1..=n")]
     fn more_shards_than_bins_rejected() {
-        let _ = shard_ranges(3, 4);
+        let _ = ShardDirectory::uniform(3, 4);
     }
 
     #[test]
@@ -213,31 +156,8 @@ mod tests {
     }
 
     #[test]
-    fn striped_shard_publishes_every_apply() {
-        let striped = Arc::new(StripedLoads::new(8));
-        let mut shard = ShardService::with_striped(4..7, Arc::clone(&striped));
-        shard.call(ShardRequest::Apply { bin: 5 }).unwrap();
-        shard.call(ShardRequest::Apply { bin: 5 }).unwrap();
-        shard.call(ShardRequest::Apply { bin: 6 }).unwrap();
-        let mut mirror = vec![0u64; 8];
-        striped.read_into(&mut mirror);
-        assert_eq!(mirror, [0, 0, 0, 0, 0, 2, 1, 0]);
-        // The mirror agrees with the authoritative state at quiescence.
-        let mut published = vec![0u64; 8];
-        shard.publish_into(&mut published);
-        assert_eq!(mirror, published);
-    }
-
-    #[test]
-    #[should_panic(expected = "overruns")]
-    fn striped_shard_range_must_fit_the_mirror() {
-        let striped = Arc::new(StripedLoads::new(4));
-        let _ = ShardService::with_striped(2..6, striped);
-    }
-
-    #[test]
     fn merge_states_reassembles_the_global_view() {
-        let ranges = shard_ranges(10, 3);
+        let ranges = ShardDirectory::uniform(10, 3).ranges();
         let mut shards: Vec<ShardService> =
             ranges.into_iter().map(ShardService::new).collect();
         for bin in [0usize, 3, 3, 9, 5, 0, 7] {

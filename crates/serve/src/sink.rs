@@ -17,9 +17,9 @@ use crate::snapshot::SnapshotAllocator;
 
 /// Where decided allocations land and where snapshot refreshes read from:
 /// the authoritative-store side of the serving path. Implementations are
-/// the sharded buffer fan-out ([`ShardHandle`](crate::ShardHandle)), the
-/// direct single-threaded shards ([`DirectCluster`](crate::DirectCluster)),
-/// and the multicounter sink.
+/// the sharded buffer fan-out ([`ShardHandle`](crate::ShardHandle)) and
+/// the direct single-threaded shards
+/// ([`DirectCluster`](crate::DirectCluster)).
 pub trait LoadSink {
     /// Places one ball into (global) bin `bin`.
     ///
