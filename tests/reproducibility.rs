@@ -2,8 +2,13 @@
 //! `(configuration, seed)`, independent of thread count, and round-trip
 //! through serialization.
 
-use noisy_balance::core::{Rng, TwoChoice};
-use noisy_balance::noise::{Batched, DelayStrategy, Delayed, GBounded, GMyopic, SigmaNoisyLoad};
+use noisy_balance::core::rng::Fnv1a;
+use noisy_balance::core::{LoadState, Process, Rng, TwoChoice};
+use noisy_balance::noise::{
+    AdvComp, Batched, DelayStrategy, Delayed, GBounded, GMyopic, NoisyComp, OverloadSeeking,
+    ReverseWithProbability, SigmaNoisyLoad, UniformRandom,
+};
+use noisy_balance::processes::DChoice;
 use noisy_balance::sim::{repeat, run, sweep, Checkpoints, GapDistribution, RunConfig};
 
 #[test]
@@ -109,7 +114,80 @@ fn golden_run_pins_end_to_end_behavior() {
     let expected = run(&mut GBounded::new(2), RunConfig::new(100, 10_000, 4242));
     assert_eq!(result, expected);
     assert_eq!(result.max_load as i64 - 100, result.integer_gap.unwrap());
-    // Pin the concrete values (update deliberately if the RNG or process
-    // semantics ever change).
     assert!(result.integer_gap.unwrap() >= 2 && result.integer_gap.unwrap() <= 12);
+
+    // Pin the concrete values (update deliberately if the RNG or process
+    // semantics ever change): an FNV-1a digest of the final load vector,
+    // the ball count and the next four outputs of the generator, which
+    // fixes the number of draws every run consumed.
+    fn digest<P: Process>(mut process: P, seed: u64) -> u64 {
+        let (n, m) = (1_000, 20_000);
+        let mut state = LoadState::new(n);
+        let mut rng = Rng::from_seed(seed);
+        process.run(&mut state, m, &mut rng);
+        let mut fnv = Fnv1a::new();
+        for &load in state.loads() {
+            fnv.write_u64(load);
+        }
+        fnv.write_u64(state.balls());
+        for _ in 0..4 {
+            fnv.write_u64(rng.next_u64());
+        }
+        fnv.finish()
+    }
+    let closure_rho = |delta: u64| {
+        if delta == 0 {
+            0.5
+        } else {
+            1.0 - 0.4 / delta as f64
+        }
+    };
+    let pinned: [(&str, u64, u64); 8] = [
+        (
+            "g_bounded_2",
+            digest(GBounded::new(2), 1),
+            0x03a9_dba2_2c80_aec0,
+        ),
+        (
+            "g_myopic_3",
+            digest(GMyopic::new(3), 2),
+            0x14b6_59b8_e07d_ead9,
+        ),
+        (
+            "sigma_noisy_load_3",
+            digest(SigmaNoisyLoad::new(3.0), 3),
+            0x8f63_5cf6_f864_ca89,
+        ),
+        (
+            "batched_100",
+            digest(Batched::new(100), 4),
+            0x4374_a836_faa2_f3c7,
+        ),
+        (
+            "adv_comp_overload_seeking",
+            digest(TwoChoice::new(AdvComp::new(3, OverloadSeeking)), 5),
+            0x7e1b_994f_51c6_b8ca,
+        ),
+        (
+            "adv_comp_reverse_p0.3",
+            digest(
+                TwoChoice::new(AdvComp::new(2, ReverseWithProbability::new(0.3))),
+                6,
+            ),
+            0xce4c_f54e_5bd7_9696,
+        ),
+        (
+            "noisy_comp_closure",
+            digest(TwoChoice::new(NoisyComp::new(closure_rho)), 7),
+            0x4ad0_65d5_62ce_f717,
+        ),
+        (
+            "d_choice_3_myopic",
+            digest(DChoice::with_decider(3, AdvComp::new(2, UniformRandom)), 8),
+            0x8c77_3d21_6733_5134,
+        ),
+    ];
+    for (name, got, want) in pinned {
+        assert_eq!(got, want, "{name} drifted: {got:#018x}");
+    }
 }
