@@ -87,6 +87,7 @@ fn throughput(c: &mut Criterion) {
         TwoChoice::new(GaussianLoadDecider::new(4.0))
     });
     bench_process(c, "batched_n", || Batched::new(N as u64));
+    bench_process(c, "batched_100", || Batched::new(100));
     bench_process(c, "delayed_n_stalest", || {
         Delayed::new(N as u64, DelayStrategy::Stalest)
     });

@@ -309,8 +309,8 @@ impl LoadState {
     /// [`Process::run_batch`](crate::Process::run_batch) fast paths: an
     /// allocate-only chunk does not need per-ball min-level bookkeeping, and
     /// deciders eligible for those paths promise
-    /// ([`Decider::batchable`](crate::Decider::batchable)) to read only the
-    /// always-exact quantities. The O(n) repair amortizes to O(1) per ball
+    /// ([`Decider::reads_exact`](crate::Decider::reads_exact)) to read only
+    /// the always-exact quantities. The O(n) repair amortizes to O(1) per ball
     /// whenever the chunk places at least ~n balls; fast paths fall back to
     /// [`allocate`](Self::allocate) below that.
     ///

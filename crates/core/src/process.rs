@@ -98,34 +98,51 @@ pub trait Decider {
     /// Clears any per-run internal state (most deciders are stateless).
     fn reset(&mut self) {}
 
-    /// Whether this decider is eligible for the batched allocation fast
-    /// paths.
+    /// Whether this decider may run under the lane kernels
+    /// ([`LaneProcess::run_lanes`]).
     ///
     /// Returning `true` is a **promise** that, for every state and sample
     /// pair, [`decide`](Self::decide)
     ///
     /// 1. never draws from the supplied [`Rng`], and
-    /// 2. reads only the always-exact state quantities — per-bin loads
-    ///    ([`LoadState::load`]/[`LoadState::loads`]), `n`, `balls` and
-    ///    `average` — never the max/min-derived aggregates (`max_load`,
-    ///    `min_load`, `gap`, `spread`, …), which may be stale inside a
-    ///    deferred-aggregate batch (see [`LoadState::batch`]).
+    /// 2. reads only the always-exact state quantities — the promise of
+    ///    [`reads_exact`](Self::reads_exact), which this one implies.
     ///
-    /// Monomorphized [`Process::run_batch`] loops consult this to choose
-    /// between the pre-drawn-sample, deferred-aggregate fast path (which is
-    /// bit-identical to per-ball allocation for exactly this class) and the
-    /// fully interleaved safe path. The default is `false`, which is always
-    /// safe; a decider that answers `true` but breaks either promise will
-    /// be caught by the workspace's batch-equivalence property suite.
+    /// The lane kernels need both: they draw a whole block of samples
+    /// ahead of the decisions that consume them, which reproduces the
+    /// per-ball stream only if no decision draws in between, and they
+    /// place inside a deferred-aggregate scope. The default is `false`,
+    /// which is always safe; a decider that answers `true` but breaks
+    /// either promise is caught by the lane-equivalence property suite.
     fn batchable(&self) -> bool {
         false
+    }
+
+    /// Whether this decider may run on the scalar deferred-aggregate
+    /// engines ([`TwoChoice`]'s and `DChoice`'s
+    /// [`Process::run_batch`]).
+    ///
+    /// Returning `true` is a **promise** that [`decide`](Self::decide)
+    /// reads only the always-exact state quantities — per-bin loads
+    /// ([`LoadState::load`]/[`LoadState::loads`]), `n`, `balls` and
+    /// `average` — never the max/min-derived aggregates (`max_load`,
+    /// `min_load`, `gap`, `spread`, …), which may be stale inside a
+    /// deferred-aggregate batch (see [`LoadState::batch`]). The decider
+    /// may draw: the scalar engines keep every draw in per-ball order, so
+    /// a drawing decider stays bit-identical to per-ball allocation.
+    ///
+    /// The default is [`batchable`](Self::batchable), so a decider that
+    /// declares nothing keeps the engine it had; violations are caught by
+    /// the batch-equivalence property suite.
+    fn reads_exact(&self) -> bool {
+        self.batchable()
     }
 
     /// Whether this decider is additionally independent of the running
     /// totals.
     ///
     /// Returning `true` is a **promise** — on top of the
-    /// [`batchable`](Self::batchable) promises, which it implies — that
+    /// [`reads_exact`](Self::reads_exact) promise, which it implies — that
     /// [`decide`](Self::decide) never reads `balls` or `average` either:
     /// only per-bin loads and `n`. Batched kernels then defer the per-ball
     /// `balls += 1` — a loop-carried read-modify-write of one memory cell
@@ -443,24 +460,24 @@ impl<D: Decider> Process for TwoChoice<D> {
 
     /// Monomorphized batched engine for the two-sample loop.
     ///
-    /// With a [`batchable`](Decider::batchable) decider and a run long
-    /// enough to amortize one O(n) repair scan, the loop defers aggregate
-    /// maintenance ([`LoadState::batch`]), pre-loads both candidate loads
-    /// into registers (the inlined decider's own reads CSE away), and
-    /// stores the incremented load through
+    /// With a decider that [reads only exact state](Decider::reads_exact)
+    /// and a run long enough to amortize one O(n) repair scan, the loop
+    /// defers aggregate maintenance ([`LoadState::batch`]), pre-loads both
+    /// candidate loads into registers (the inlined decider's own reads CSE
+    /// away), and stores the incremented load through
     /// [`place_with`](crate::LoadBatch::place_with) — removing both the
     /// min/max bookkeeping branches and the dependent re-read from the
-    /// store path. Draws stay interleaved: benchmarks showed pre-drawing
-    /// samples through [`SampleBuf`](crate::rng::SampleBuf) serializes the generator's dependency
-    /// chain against the consume work and costs ~2× on current hardware
-    /// (see `docs/PERFORMANCE.md`), so the prefetcher is reserved for
-    /// workloads where the draw itself dominates.
+    /// store path. Draws stay interleaved in per-ball order — the two
+    /// sample draws, then whatever the decider draws — so deciders that
+    /// draw (`g-Myopic-Comp`, `ρ-Noisy-Comp`) run here too. Pre-drawing
+    /// samples through [`SampleBuf`](crate::rng::SampleBuf) was measured
+    /// ~2× slower (see `docs/PERFORMANCE.md`).
     fn run_batch(&mut self, state: &mut LoadState, steps: u64, rng: &mut Rng) {
         let bound = state.n() as u64;
-        if !self.decider.batchable() || steps < bound {
-            // Per-ball fallback: deciders that draw from the generator fix
-            // the draw interleaving, and short runs do not amortize the
-            // end-of-batch repair scan.
+        if !self.decider.reads_exact() || steps < bound {
+            // Per-ball fallback: deciders that read the max/min aggregates
+            // need them exact at every step, and short runs do not
+            // amortize the end-of-batch repair scan.
             for _ in 0..steps {
                 self.allocate(state, rng);
             }

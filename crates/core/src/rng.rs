@@ -97,6 +97,12 @@ fn rotl(x: u64, k: u32) -> u64 {
     x.rotate_left(k)
 }
 
+/// The xoshiro256++ output function of state `s`.
+#[inline(always)]
+fn output(s: &[u64; 4]) -> u64 {
+    rotl(s[0].wrapping_add(s[3]), 23).wrapping_add(s[0])
+}
+
 impl Rng {
     /// Creates a generator from a 64-bit seed.
     ///
@@ -142,8 +148,8 @@ impl Rng {
     /// Returns the next 64 uniformly random bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
+        let result = output(&self.s);
         let s = &mut self.s;
-        let result = rotl(s[0].wrapping_add(s[3]), 23).wrapping_add(s[0]);
         let t = s[1] << 17;
         s[2] ^= s[0];
         s[3] ^= s[1];
@@ -154,11 +160,58 @@ impl Rng {
         result
     }
 
+    /// Returns the output [`next_u64`](Self::next_u64) would return, and
+    /// advances the generator only if `advance` holds.
+    ///
+    /// `next_u64_if(true)` is exactly `next_u64()`; `next_u64_if(false)`
+    /// leaves the generator (the cached Gaussian spare included)
+    /// unchanged. One call resolves every coin a decision might need —
+    /// the noisy deciders read both their tie coin and their `ρ`-coin from
+    /// it — with exactly the draw count of the per-ball rule that draws
+    /// only when one of them is needed.
+    ///
+    /// The advance stays a branch on purpose. The condition depends on
+    /// freshly loaded bin loads, and it is strongly biased in the noisy
+    /// processes (61–100% true in the Fig. 12 sweeps), so the predictor
+    /// runs the next ball's draws ahead of the loads; a masked-select
+    /// advance makes the generator state wait for the loads instead and
+    /// measured slower (see `docs/PERFORMANCE.md`).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use balloc_core::Rng;
+    /// let mut a = Rng::from_seed(8);
+    /// let mut b = Rng::from_seed(8);
+    /// let peeked = a.next_u64_if(false);
+    /// assert_eq!(a, b); // not advanced
+    /// assert_eq!(a.next_u64_if(true), peeked);
+    /// assert_eq!(b.next_u64(), peeked);
+    /// assert_eq!(a, b);
+    /// ```
+    #[inline]
+    pub fn next_u64_if(&mut self, advance: bool) -> u64 {
+        if advance {
+            self.next_u64()
+        } else {
+            output(&self.s)
+        }
+    }
+
     /// Returns a uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
-        // Take the top 53 bits; multiply by 2^-53.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        Self::unit_f64(self.next_u64())
+    }
+
+    /// The `[0, 1)` value [`next_f64`](Self::next_f64) makes of the raw
+    /// draw `bits`: the top 53 bits times 2⁻⁵³. Lets a caller holding a
+    /// raw draw (e.g. from [`next_u64_if`](Self::next_u64_if)) make the
+    /// same comparison [`chance`](Self::chance) would.
+    #[inline]
+    #[must_use]
+    pub fn unit_f64(bits: u64) -> f64 {
+        (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Returns a uniform integer in `[0, bound)` without modulo bias
@@ -1149,6 +1202,36 @@ mod tests {
         let mut rng = Rng::from_seed(101);
         let heads = (0..100_000).filter(|_| rng.coin()).count();
         assert!((heads as f64 / 100_000.0 - 0.5).abs() < 0.01);
+    }
+
+    #[test]
+    fn conditional_draw_false_leaves_the_generator_untouched() {
+        let mut rng = Rng::from_seed(31);
+        // Cache a Gaussian spare: the rollback must keep it too.
+        let _ = rng.standard_gaussian();
+        let before = rng.clone();
+        for _ in 0..100 {
+            let _ = rng.next_u64_if(false);
+        }
+        assert_eq!(rng, before);
+        assert_eq!(rng.standard_gaussian(), before.clone().standard_gaussian());
+    }
+
+    #[test]
+    fn conditional_draw_true_equals_next_u64() {
+        let mut conditional = Rng::from_seed(32);
+        let mut plain = Rng::from_seed(32);
+        let mut pattern = Rng::from_seed(33);
+        for _ in 0..1_000 {
+            let advance = pattern.coin();
+            let peeked = plain.clone().next_u64();
+            let got = conditional.next_u64_if(advance);
+            assert_eq!(got, peeked);
+            if advance {
+                assert_eq!(got, plain.next_u64());
+            }
+            assert_eq!(conditional, plain);
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The `g-Adv-Comp` setting and its named instances `g-Bounded` and
 //! `g-Myopic-Comp`.
 
+use std::hint::select_unpredictable;
+
 use balloc_core::{Decider, DecisionProbability, LoadState, Process, Rng, TwoChoice};
 
 use crate::strategies::{
@@ -59,25 +61,34 @@ impl<S: CompStrategy> Decider for AdvComp<S> {
     #[inline]
     fn decide(&mut self, state: &LoadState, i1: usize, i2: usize, rng: &mut Rng) -> usize {
         let (x1, x2) = (state.load(i1), state.load(i2));
-        let delta = x1.abs_diff(x2);
-        if delta <= self.g {
-            self.strategy.choose(state, i1, i2, rng)
-        } else if x1 < x2 {
-            i1
-        } else {
-            i2
-        }
+        // Both answers are computed and the window test selects between
+        // them: the test depends on freshly loaded loads, and a branch on
+        // it mispredicts whenever in- and out-of-window pairs mix.
+        let in_window = x1.abs_diff(x2) <= self.g;
+        let adversary = self.strategy.choose_if(in_window, state, i1, i2, rng);
+        let correct = select_unpredictable(x1 < x2, i1, i2);
+        select_unpredictable(in_window, adversary, correct)
     }
 
     fn reset(&mut self) {
         self.strategy.reset();
     }
 
+    // The window test reads only the two loads; every promise is the
+    // in-window strategy's.
     #[inline]
     fn batchable(&self) -> bool {
-        // The window test reads only the two loads; eligibility for the
-        // batched fast path is the in-window strategy's promise.
         self.strategy.batchable()
+    }
+
+    #[inline]
+    fn reads_exact(&self) -> bool {
+        self.strategy.reads_exact()
+    }
+
+    #[inline]
+    fn totals_free(&self) -> bool {
+        self.strategy.totals_free()
     }
 }
 
@@ -151,8 +162,8 @@ impl Process for GBounded {
     }
 
     fn run_batch(&mut self, state: &mut LoadState, steps: u64, rng: &mut Rng) {
-        // ReverseAll is rng-free, so this takes the prefetched,
-        // deferred-aggregate Two-Choice fast path.
+        // ReverseAll is rng-free and totals-free, so this takes the
+        // deferred-aggregate Two-Choice engine with deferred ball counting.
         self.inner.run_batch(state, steps, rng);
     }
 
@@ -215,8 +226,9 @@ impl Process for GMyopic {
     }
 
     fn run_batch(&mut self, state: &mut LoadState, steps: u64, rng: &mut Rng) {
-        // UniformRandom draws a coin inside the window, so this resolves to
-        // the interleaved (but still monomorphized) Two-Choice loop.
+        // UniformRandom draws a coin inside the window, but reads no
+        // aggregate, so this takes the same deferred-aggregate engine with
+        // the coin drawn in per-ball order.
         self.inner.run_batch(state, steps, rng);
     }
 

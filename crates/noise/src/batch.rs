@@ -1,5 +1,7 @@
 //! The `b-Batch` process: allocation in batches with frozen load reports.
 
+use std::hint::select_unpredictable;
+
 use balloc_core::{LoadState, Process, Rng, TieBreak};
 
 /// The `b-Batch` process (\[14\], Section 2): balls are allocated in
@@ -155,6 +157,11 @@ impl Process for Batched {
     /// are hoisted to the batch boundaries and the inner loop compares
     /// snapshot loads directly. Comparisons never read the live aggregates,
     /// so long runs also defer aggregate maintenance.
+    ///
+    /// A balanced external modification can only have happened before the
+    /// call, so the snapshot is compared against the live loads at the
+    /// call's first boundary only; after that compare, or after a resync,
+    /// replaying this call's own allocations keeps the snapshot exact.
     fn run_batch(&mut self, state: &mut LoadState, steps: u64, rng: &mut Rng) {
         let n = state.n();
         let bound = n as u64;
@@ -166,6 +173,7 @@ impl Process for Batched {
         }
         let mut batch = state.batch();
         let mut remaining = steps;
+        let mut in_sync = false;
         while remaining > 0 {
             let externally_modified = self.initialized
                 && batch.view().balls() != self.snapshot_balls + self.since_snapshot.len() as u64;
@@ -174,25 +182,29 @@ impl Process for Batched {
                 self.since_snapshot.clear();
                 self.snapshot_balls = batch.view().balls();
                 self.initialized = true;
+                in_sync = true;
             } else if self.since_snapshot.len() as u64 >= self.b {
                 self.refresh_snapshot();
                 self.snapshot_balls = batch.view().balls();
-                if self.snapshot != batch.view().loads() {
+                if !in_sync && self.snapshot != batch.view().loads() {
                     self.snapshot.copy_from_slice(batch.view().loads());
                 }
+                in_sync = true;
             }
             let segment = remaining.min(self.b - self.since_snapshot.len() as u64);
             for _ in 0..segment {
                 let i1 = rng.below(bound) as usize;
                 let i2 = rng.below(bound) as usize;
                 let (s1, s2) = (self.snapshot[i1], self.snapshot[i2]);
-                let chosen = if s1 < s2 {
-                    i1
-                } else if s2 < s1 {
-                    i2
-                } else {
-                    self.tie.resolve(i1, i2, rng)
+                let tie = s1 == s2;
+                let lighter = select_unpredictable(s2 < s1, i2, i1);
+                // `TieBreak::resolve`, with the random rule's coin drawn
+                // only on a tie; the other rules never draw.
+                let on_tie = match self.tie {
+                    TieBreak::Random => select_unpredictable(rng.next_u64_if(tie) & 1 == 1, i1, i2),
+                    rule => rule.resolve(i1, i2, rng),
                 };
+                let chosen = select_unpredictable(tie, on_tie, lighter);
                 batch.place(chosen);
                 self.since_snapshot.push(chosen);
             }
@@ -322,6 +334,50 @@ mod tests {
         process.allocate(&mut state, &mut rng);
         for (i, &expected) in loads_after_batch.iter().enumerate() {
             assert_eq!(process.reported_load(i), expected);
+        }
+    }
+
+    #[test]
+    fn balanced_swap_between_batched_calls_is_adopted_at_the_first_boundary() {
+        // A balanced external change (one ball moved between bins) keeps
+        // the ball count, so only the boundary compare can see it. Made
+        // between two `run_batch` calls, it must be adopted at the second
+        // call's first boundary, exactly as the per-ball path adopts it.
+        let (n, b) = (64usize, 16u64);
+        let swap = |state: &mut LoadState| {
+            let heaviest = (0..n).max_by_key(|&i| state.load(i)).expect("bins");
+            let lightest = (0..n).min_by_key(|&i| state.load(i)).expect("bins");
+            state.deallocate(heaviest);
+            state.allocate(lightest);
+        };
+        // 100 balls end mid-batch (100 mod 16 = 4), so the second call's
+        // first boundary comes after 12 balls; 96 end on a boundary.
+        for (first, second) in [(100u64, 500u64), (96, 64), (100, 76)] {
+            let mut per_ball = Batched::new(b);
+            let mut per_ball_state = LoadState::new(n);
+            let mut per_ball_rng = Rng::from_seed(21);
+            let mut batched = Batched::new(b);
+            let mut batched_state = LoadState::new(n);
+            let mut batched_rng = Rng::from_seed(21);
+            for _ in 0..first {
+                per_ball.allocate(&mut per_ball_state, &mut per_ball_rng);
+            }
+            batched.run_batch(&mut batched_state, first, &mut batched_rng);
+            swap(&mut per_ball_state);
+            swap(&mut batched_state);
+            for _ in 0..second {
+                per_ball.allocate(&mut per_ball_state, &mut per_ball_rng);
+            }
+            batched.run_batch(&mut batched_state, second, &mut batched_rng);
+            assert_eq!(batched_state, per_ball_state, "{first} + {second}");
+            assert_eq!(batched_rng, per_ball_rng, "{first} + {second}");
+            for i in 0..n {
+                assert_eq!(
+                    batched.reported_load(i),
+                    per_ball.reported_load(i),
+                    "snapshot of bin {i} after {first} + {second}"
+                );
+            }
         }
     }
 

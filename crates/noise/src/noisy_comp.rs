@@ -1,5 +1,7 @@
 //! Probabilistic noise: `ρ-Noisy-Comp` and `σ-Noisy-Load`.
 
+use std::hint::select_unpredictable;
+
 use balloc_core::stats::normal_cdf;
 use balloc_core::{Decider, DecisionProbability, LoadState, Process, Rng, TwoChoice};
 
@@ -23,17 +25,34 @@ use crate::rho::{GaussianRho, RhoFunction};
 /// process.run(&mut state, 1_000, &mut rng);
 /// assert_eq!(state.balls(), 1_000);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Clone)]
 pub struct NoisyComp<R> {
     rho: R,
+    /// `table[δ] = rho.rho(δ)`, the exact `f64`s, from `δ = 0` up to the
+    /// first `δ` where `ρ` reaches 1 or [`RHO_TABLE_CAP`] entries; larger
+    /// differences call `rho` directly.
+    table: Vec<f64>,
 }
+
+/// The most `ρ(δ)` values [`NoisyComp`] tabulates (8 KiB of `f64`s); only
+/// a `ρ` that never reaches 1 (e.g. a constant below 1) fills it.
+const RHO_TABLE_CAP: usize = 1024;
 
 impl<R: RhoFunction> NoisyComp<R> {
     /// Creates the decision rule from a correct-comparison probability
-    /// function.
+    /// function, tabulating `ρ` once for the small differences that hot
+    /// loops see.
     #[must_use]
     pub fn new(rho: R) -> Self {
-        Self { rho }
+        let mut table = Vec::new();
+        for delta in 0..RHO_TABLE_CAP as u64 {
+            let p = rho.rho(delta);
+            table.push(p);
+            if p >= 1.0 {
+                break;
+            }
+        }
+        Self { rho, table }
     }
 
     /// The correct-comparison probability function.
@@ -41,22 +60,64 @@ impl<R: RhoFunction> NoisyComp<R> {
     pub fn rho(&self) -> &R {
         &self.rho
     }
+
+    /// `ρ(δ)`: the tabulated value, or `rho` itself past the table.
+    #[inline]
+    fn rho_at(&self, delta: u64) -> f64 {
+        match usize::try_from(delta).ok().and_then(|i| self.table.get(i)) {
+            Some(&p) => p,
+            None => self.rho.rho(delta),
+        }
+    }
+}
+
+impl<R: RhoFunction + Default> Default for NoisyComp<R> {
+    fn default() -> Self {
+        Self::new(R::default())
+    }
+}
+
+impl<R: std::fmt::Debug> std::fmt::Debug for NoisyComp<R> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The table is a cache of `rho`; it adds nothing to the value.
+        f.debug_struct("NoisyComp").field("rho", &self.rho).finish()
+    }
 }
 
 impl<R: RhoFunction> Decider for NoisyComp<R> {
+    /// The tie coin and the `ρ`-coin are one conditional draw
+    /// ([`Rng::next_u64_if`]), taken exactly when the paper's rule draws —
+    /// on a tie ([`Rng::coin`]) or when `0 < ρ < 1` ([`Rng::chance`]) —
+    /// and both outcomes are read from it, so the stream is the same. The
+    /// decision itself is selects only.
     #[inline]
     fn decide(&mut self, state: &LoadState, i1: usize, i2: usize, rng: &mut Rng) -> usize {
         let (x1, x2) = (state.load(i1), state.load(i2));
-        if x1 == x2 {
-            return if rng.coin() { i1 } else { i2 };
-        }
         let delta = x1.abs_diff(x2);
-        let (lighter, heavier) = if x1 < x2 { (i1, i2) } else { (i2, i1) };
-        if rng.chance(self.rho.rho(delta)) {
-            lighter
-        } else {
-            heavier
-        }
+        let tie = delta == 0;
+        let rho = self.rho_at(delta);
+        // `chance(ρ)` answers without drawing when ρ ⩽ 0 or ρ ⩾ 1.
+        let certain = rho <= 0.0 || rho >= 1.0;
+        let bits = rng.next_u64_if(tie || !certain);
+        let correct = select_unpredictable(certain, rho >= 1.0, Rng::unit_f64(bits) < rho);
+        let (lighter, heavier) = (
+            select_unpredictable(x1 < x2, i1, i2),
+            select_unpredictable(x1 < x2, i2, i1),
+        );
+        let unequal = select_unpredictable(correct, lighter, heavier);
+        let coin = select_unpredictable(bits & 1 == 1, i1, i2);
+        select_unpredictable(tie, coin, unequal)
+    }
+
+    #[inline]
+    fn reads_exact(&self) -> bool {
+        // Reads the two loads only; the coins keep it off the lane kernels.
+        true
+    }
+
+    #[inline]
+    fn totals_free(&self) -> bool {
+        true
     }
 }
 
@@ -132,8 +193,9 @@ impl Process for SigmaNoisyLoad {
     }
 
     fn run_batch(&mut self, state: &mut LoadState, steps: u64, rng: &mut Rng) {
-        // ρ-Noisy-Comp draws per comparison, so this resolves to the
-        // interleaved monomorphized Two-Choice loop.
+        // ρ-Noisy-Comp draws per comparison but reads only the two
+        // loads, so this takes the deferred-aggregate Two-Choice engine
+        // with the draws in per-ball order.
         self.inner.run_batch(state, steps, rng);
     }
 
@@ -206,6 +268,101 @@ mod tests {
     use crate::{AdvComp, GMyopic, ReverseAll};
     use balloc_core::rng::run_seed;
     use balloc_processes::OneChoice;
+
+    /// The per-ball rule as the paper states it: a fair coin on a tie,
+    /// otherwise correct with probability `ρ(δ)` via [`Rng::chance`].
+    fn reference_decide(
+        rho: &impl RhoFunction,
+        state: &LoadState,
+        i1: usize,
+        i2: usize,
+        rng: &mut Rng,
+    ) -> usize {
+        let (x1, x2) = (state.load(i1), state.load(i2));
+        if x1 == x2 {
+            return if rng.coin() { i1 } else { i2 };
+        }
+        let (lighter, heavier) = if x1 < x2 { (i1, i2) } else { (i2, i1) };
+        if rng.chance(rho.rho(x1.abs_diff(x2))) {
+            lighter
+        } else {
+            heavier
+        }
+    }
+
+    /// Decides pairs at each difference in `deltas` (both orders, many
+    /// times) and checks decisions and generator states against
+    /// [`reference_decide`].
+    fn assert_matches_reference<R: RhoFunction>(decider: &mut NoisyComp<R>, deltas: &[u64]) {
+        let mut rng = Rng::from_seed(64);
+        let mut reference_rng = Rng::from_seed(64);
+        for &delta in deltas {
+            let state = LoadState::from_loads(vec![5, 5 + delta]);
+            for (i1, i2) in [(0, 1), (1, 0)] {
+                for _ in 0..200 {
+                    let got = decider.decide(&state, i1, i2, &mut rng);
+                    let want = reference_decide(decider.rho(), &state, i1, i2, &mut reference_rng);
+                    assert_eq!(got, want, "δ = {delta}, pair ({i1}, {i2})");
+                    assert_eq!(rng, reference_rng, "δ = {delta}: draw count diverged");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_edges_decide_like_rho() {
+        // Gaussian ρ saturates at 1 near δ ≈ 6σ: the table stops there.
+        let mut gaussian = NoisyComp::new(GaussianRho::new(2.0));
+        let last = gaussian.table.len() as u64 - 1;
+        assert!(
+            last < 20,
+            "table should stop once ρ reaches 1, len {}",
+            last + 1
+        );
+        assert_eq!(gaussian.table[last as usize], 1.0);
+        assert!(gaussian.table[last as usize - 1] < 1.0);
+        for delta in 0..=last + 3 {
+            assert_eq!(
+                gaussian.rho_at(delta).to_bits(),
+                gaussian.rho().rho(delta).to_bits(),
+                "δ = {delta}"
+            );
+        }
+        assert_matches_reference(&mut gaussian, &[0, 1, last - 1, last, last + 1, 1_000]);
+
+        // A constant below 1 never saturates: the table fills to the cap
+        // and larger differences fall back to `rho`.
+        let mut constant = NoisyComp::new(ConstantRho::new(0.7));
+        assert_eq!(constant.table.len(), RHO_TABLE_CAP);
+        let cap = RHO_TABLE_CAP as u64;
+        assert_eq!(constant.rho_at(cap - 1), 0.7);
+        assert_eq!(constant.rho_at(cap), 0.7);
+        assert_matches_reference(&mut constant, &[0, 1, cap - 1, cap, cap + 1]);
+
+        // The certain extremes draw nothing off a tie.
+        assert_matches_reference(&mut NoisyComp::new(ConstantRho::new(1.0)), &[0, 1, 2]);
+        assert_matches_reference(&mut NoisyComp::new(ConstantRho::new(0.0)), &[0, 1, 2]);
+        assert_matches_reference(&mut NoisyComp::new(BoundedRho::new(2)), &[0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn default_tabulates_the_default_rho() {
+        #[derive(Debug, Default)]
+        struct Steep;
+        impl RhoFunction for Steep {
+            fn rho(&self, delta: u64) -> f64 {
+                if delta >= 3 {
+                    1.0
+                } else {
+                    0.75
+                }
+            }
+        }
+        let mut decider = NoisyComp::<Steep>::default();
+        assert_eq!(decider.table, vec![0.75, 0.75, 0.75, 1.0]);
+        assert_eq!(format!("{decider:?}"), "NoisyComp { rho: Steep }");
+        assert_matches_reference(&mut decider, &[0, 1, 2, 3, 4, 9]);
+    }
 
     #[test]
     fn rho_one_is_always_correct() {

@@ -6,6 +6,8 @@
 //! adversary's policy inside the window; outside the window the comparison
 //! is forced to be correct by [`AdvComp`](crate::AdvComp).
 
+use std::hint::select_unpredictable;
+
 use balloc_core::{LoadState, Rng};
 
 /// An adversary policy for comparisons inside the `g`-window.
@@ -16,17 +18,59 @@ pub trait CompStrategy {
     /// Chooses the bin that receives the ball.
     fn choose(&mut self, state: &LoadState, i1: usize, i2: usize, rng: &mut Rng) -> usize;
 
+    /// [`choose`](Self::choose) when `active`; otherwise no effect at all
+    /// (no draw, no change to `self`) and an unspecified sample as the
+    /// result, which the caller discards.
+    ///
+    /// [`AdvComp`](crate::AdvComp) calls this on every comparison with
+    /// `active` = "inside the window" and selects between its result and
+    /// the correct answer, so the window test costs no branch. The default
+    /// branches on `active`; strategies override it with a plain `choose`
+    /// when choosing has no side effects, or with a conditional draw
+    /// ([`Rng::next_u64_if`]).
+    #[inline]
+    fn choose_if(
+        &mut self,
+        active: bool,
+        state: &LoadState,
+        i1: usize,
+        i2: usize,
+        rng: &mut Rng,
+    ) -> usize {
+        if active {
+            self.choose(state, i1, i2, rng)
+        } else {
+            i1
+        }
+    }
+
     /// Clears any per-run internal state.
     fn reset(&mut self) {}
 
-    /// Whether this strategy satisfies the batching contract of
-    /// [`Decider::batchable`](balloc_core::Decider::batchable): `choose`
-    /// never draws from the `Rng` and reads only always-exact state
-    /// quantities (loads, ball count, average). Propagated by
-    /// [`AdvComp`](crate::AdvComp) so `g-Adv-Comp` processes take the
-    /// batched fast path exactly when their adversary permits it. Defaults
-    /// to `false` (always safe).
+    /// [`Decider::batchable`](balloc_core::Decider::batchable) for the
+    /// strategy: `choose` never draws from the `Rng` and reads only
+    /// always-exact state quantities (loads, ball count, average).
+    /// Propagated by [`AdvComp`](crate::AdvComp), so `g-Adv-Comp` runs
+    /// under the lane kernels exactly when its adversary permits it.
+    /// Defaults to `false` (always safe).
     fn batchable(&self) -> bool {
+        false
+    }
+
+    /// [`Decider::reads_exact`](balloc_core::Decider::reads_exact) for the
+    /// strategy: `choose` reads only always-exact state quantities, and
+    /// may draw. Propagated by [`AdvComp`](crate::AdvComp) to pick the
+    /// scalar deferred-aggregate engine. Defaults to
+    /// [`batchable`](Self::batchable).
+    fn reads_exact(&self) -> bool {
+        self.batchable()
+    }
+
+    /// [`Decider::totals_free`](balloc_core::Decider::totals_free) for the
+    /// strategy: on top of [`reads_exact`](Self::reads_exact), `choose`
+    /// never reads the ball count or the average. Defaults to `false`
+    /// (always safe).
+    fn totals_free(&self) -> bool {
         false
     }
 }
@@ -47,15 +91,28 @@ pub struct ReverseAll;
 impl CompStrategy for ReverseAll {
     #[inline]
     fn choose(&mut self, state: &LoadState, i1: usize, i2: usize, _rng: &mut Rng) -> usize {
-        if state.load(i2) > state.load(i1) {
-            i2
-        } else {
-            i1
-        }
+        select_unpredictable(state.load(i2) > state.load(i1), i2, i1)
+    }
+
+    #[inline]
+    fn choose_if(
+        &mut self,
+        _active: bool,
+        state: &LoadState,
+        i1: usize,
+        i2: usize,
+        rng: &mut Rng,
+    ) -> usize {
+        self.choose(state, i1, i2, rng)
     }
 
     #[inline]
     fn batchable(&self) -> bool {
+        true
+    }
+
+    #[inline]
+    fn totals_free(&self) -> bool {
         true
     }
 }
@@ -86,6 +143,31 @@ impl CompStrategy for UniformRandom {
             i2
         }
     }
+
+    #[inline]
+    fn choose_if(
+        &mut self,
+        active: bool,
+        _state: &LoadState,
+        i1: usize,
+        i2: usize,
+        rng: &mut Rng,
+    ) -> usize {
+        // The coin of `Rng::coin`, drawn only inside the window.
+        select_unpredictable(rng.next_u64_if(active) & 1 == 1, i1, i2)
+    }
+
+    #[inline]
+    fn reads_exact(&self) -> bool {
+        // Reads no state at all; only the coin draw keeps it off the lane
+        // kernels.
+        true
+    }
+
+    #[inline]
+    fn totals_free(&self) -> bool {
+        true
+    }
 }
 
 impl CompStrategyProbability for UniformRandom {
@@ -104,15 +186,28 @@ pub struct CorrectAll;
 impl CompStrategy for CorrectAll {
     #[inline]
     fn choose(&mut self, state: &LoadState, i1: usize, i2: usize, _rng: &mut Rng) -> usize {
-        if state.load(i2) < state.load(i1) {
-            i2
-        } else {
-            i1
-        }
+        select_unpredictable(state.load(i2) < state.load(i1), i2, i1)
+    }
+
+    #[inline]
+    fn choose_if(
+        &mut self,
+        _active: bool,
+        state: &LoadState,
+        i1: usize,
+        i2: usize,
+        rng: &mut Rng,
+    ) -> usize {
+        self.choose(state, i1, i2, rng)
     }
 
     #[inline]
     fn batchable(&self) -> bool {
+        true
+    }
+
+    #[inline]
+    fn totals_free(&self) -> bool {
         true
     }
 }
@@ -177,6 +272,17 @@ impl CompStrategy for ReverseWithProbability {
         // `Rng::chance` short-circuits without drawing at the extremes.
         self.p <= 0.0 || self.p >= 1.0
     }
+
+    #[inline]
+    fn reads_exact(&self) -> bool {
+        // Reads the two loads only, whatever it draws.
+        true
+    }
+
+    #[inline]
+    fn totals_free(&self) -> bool {
+        true
+    }
 }
 
 impl CompStrategyProbability for ReverseWithProbability {
@@ -218,9 +324,22 @@ impl CompStrategy for OverloadSeeking {
     }
 
     #[inline]
+    fn choose_if(
+        &mut self,
+        _active: bool,
+        state: &LoadState,
+        i1: usize,
+        i2: usize,
+        rng: &mut Rng,
+    ) -> usize {
+        self.choose(state, i1, i2, rng)
+    }
+
+    #[inline]
     fn batchable(&self) -> bool {
         // Reads loads and the average (ball count), both always exact
-        // inside a deferred-aggregate batch; draws nothing.
+        // inside a deferred-aggregate batch; draws nothing. It reads the
+        // average, so it is not totals-free.
         true
     }
 }
@@ -324,6 +443,30 @@ mod tests {
     #[should_panic(expected = "[0, 1]")]
     fn reverse_with_probability_validates() {
         let _ = ReverseWithProbability::new(-0.5);
+    }
+
+    #[test]
+    fn choose_if_is_choose_when_active_and_inert_otherwise() {
+        fn check(mut strategy: impl CompStrategy + Clone) {
+            let s = state();
+            let mut rng = Rng::from_seed(9);
+            let mut reference = rng.clone();
+            for (a, b) in [(0usize, 1usize), (1, 0), (1, 2), (3, 0), (2, 3)] {
+                for _ in 0..50 {
+                    let got = strategy.choose_if(true, &s, a, b, &mut rng);
+                    let want = strategy.clone().choose(&s, a, b, &mut reference);
+                    assert_eq!(got, want, "({a},{b})");
+                    assert_eq!(rng, reference, "({a},{b}): draw count diverged");
+                    let _ = strategy.choose_if(false, &s, a, b, &mut rng);
+                    assert_eq!(rng, reference, "({a},{b}): inactive call drew");
+                }
+            }
+        }
+        check(ReverseAll);
+        check(CorrectAll);
+        check(UniformRandom);
+        check(OverloadSeeking);
+        check(ReverseWithProbability::new(0.3));
     }
 
     #[test]

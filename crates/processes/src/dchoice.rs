@@ -84,12 +84,14 @@ impl<D: Decider> Process for DChoice<D> {
         winner
     }
 
-    /// Batched engine: with an rng-free tournament decider, long runs defer
-    /// aggregate maintenance and thread the winner's load value through the
-    /// tournament so the final store needs no dependent re-read.
+    /// Batched engine: with a tournament decider that reads only exact
+    /// state ([`Decider::reads_exact`]), long runs defer aggregate
+    /// maintenance and thread the winner's load value through the
+    /// tournament so the final store needs no dependent re-read. Draws
+    /// stay in per-ball order, so deciders that draw qualify too.
     fn run_batch(&mut self, state: &mut LoadState, steps: u64, rng: &mut Rng) {
         let bound = state.n() as u64;
-        if !self.decider.batchable() || steps < bound {
+        if !self.decider.reads_exact() || steps < bound {
             for _ in 0..steps {
                 self.allocate(state, rng);
             }

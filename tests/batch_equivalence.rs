@@ -293,7 +293,16 @@ proptest! {
         seed in any::<u64>(),
         steps in 4_000u64..9_000,
     ) {
-        for name in ["two_choice_first", "one_choice", "d_choice_4", "g_bounded_3", "batched_5"] {
+        for name in [
+            "two_choice_first",
+            "one_choice",
+            "d_choice_4",
+            "g_bounded_3",
+            "g_myopic_3",
+            "sigma_noisy_load_3",
+            "batched_1",
+            "batched_5",
+        ] {
             let (_, factory) = registry()
                 .into_iter()
                 .find(|(k, _)| *k == name)
