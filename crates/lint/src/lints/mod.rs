@@ -12,6 +12,7 @@ mod l005_println_in_library;
 mod l006_unversioned_seed_scheme;
 mod l007_blocking_in_reactor;
 mod l008_raw_shard_index;
+mod l009_ledger_arithmetic;
 
 /// Static description of one lint.
 #[derive(Debug, Clone, Copy)]
@@ -58,6 +59,7 @@ pub fn registry() -> &'static [&'static dyn Lint] {
         &l006_unversioned_seed_scheme::UnversionedSeedScheme,
         &l007_blocking_in_reactor::BlockingInReactor,
         &l008_raw_shard_index::RawShardIndex,
+        &l009_ledger_arithmetic::LedgerArithmetic,
     ];
     REGISTRY
 }

@@ -60,7 +60,7 @@ fn every_lint_code_fires_on_some_fixture() {
     // The corpus must keep failing: if a refactor silently disables a
     // lint, this is the test that notices.
     for code in [
-        "L000", "L001", "L002", "L003", "L004", "L005", "L006", "L007", "L008",
+        "L000", "L001", "L002", "L003", "L004", "L005", "L006", "L007", "L008", "L009",
     ] {
         let digits = &code[1..];
         let hit = std::fs::read_dir(fixtures_dir())

@@ -24,9 +24,9 @@ use std::sync::Arc;
 use balloc_core::rng::{point_seed, Fnv1a};
 use balloc_core::LoadState;
 use balloc_serve::{
-    DirectCluster, InFlightLimit, InFlightLimitLayer, Layer, LoadShed, LoadShedLayer, LoadSink,
-    NoiseMode, Permits, Request, ServeClock, Service, ShardCluster, ShardDirectory, ShardHandle,
-    ShedCounter, SnapshotAllocator, SnapshotService, Staleness,
+    worker_stack, DirectCluster, NoiseMode, Permits, Request, Response, ServeClock, ServeError,
+    Service, ShardCluster, ShardDirectory, ShardHandle, ShedCounter, SnapshotAllocator,
+    SnapshotService, Staleness, Turnstile, WorkerStack,
 };
 use epoll::{Epoll, Events, Interest, Token};
 
@@ -54,12 +54,12 @@ pub enum ServerMode {
         /// unlimited in a single-threaded reactor).
         inflight: Option<usize>,
     },
-    /// The determinism path: `clients` connections are the replay
-    /// engine's virtual workers. Requests are served in strict global
-    /// round-robin order (step `t` waits for client `t mod clients`), so
-    /// the decision stream — and the digest — is bit-identical to
-    /// [`balloc_serve::run_replay`] at the same `(n, shards, staleness,
-    /// seed, request)`.
+    /// The determinism path: `clients` connections are the workers of a
+    /// [`Turnstile`], the replay engine's step. Requests are served in
+    /// strict global round-robin order (step `t` waits for client
+    /// `t mod clients`), so the decision stream — and the digest — is
+    /// bit-identical to [`balloc_serve::run_replay`] at the same
+    /// `(n, shards, staleness, seed, request)`.
     Replay {
         /// Number of replay clients (= replay workers). Every client id
         /// in `0..clients` must connect exactly once.
@@ -91,10 +91,7 @@ impl NetConfig {
             self.shards > 0 && self.shards <= self.n,
             "shards must lie in 1..=n"
         );
-        match self.staleness {
-            Staleness::Batch { b } => assert!(b > 0, "batch size b must be positive"),
-            Staleness::Delay { tau } => assert!(tau > 0, "delay tau must be positive"),
-        }
+        self.staleness.validate();
         match self.mode {
             ServerMode::Stacked {
                 buffer_capacity, ..
@@ -146,24 +143,6 @@ const LISTENER: Token = Token(0);
 /// Poll timeout: the latency ceiling on observing the shutdown flag.
 const POLL_MS: i32 = 10;
 
-type StackedSvc = LoadShed<InFlightLimit<SnapshotService<ShardHandle>>>;
-
-/// A single-thread borrowed handle on the direct store: every
-/// connection's service applies through the same cluster, one call at a
-/// time (the reactor never interleaves within a request).
-#[derive(Debug, Clone)]
-struct SharedSink(Rc<RefCell<DirectCluster>>);
-
-impl LoadSink for SharedSink {
-    fn apply(&mut self, bin: usize) -> Result<(), balloc_serve::ServeError> {
-        self.0.borrow_mut().apply(bin)
-    }
-
-    fn refresh(&mut self, snapshot: &mut [u64]) -> Result<(), balloc_serve::ServeError> {
-        self.0.borrow_mut().refresh(snapshot)
-    }
-}
-
 /// Whether a decoded `ALLOC` can reach the decision kernel: the codec
 /// carries any `d` and any sigma bits, but deciding needs at least one
 /// candidate and a finite, non-negative sigma.
@@ -175,13 +154,45 @@ fn servable(req: &Request) -> bool {
     req.d > 0 && sigma_ok
 }
 
+/// Every request the serve layer answered, in reply order.
+#[derive(Default)]
+struct Tally {
+    digest: Fnv1a,
+    served: u64,
+    rejected: u64,
+}
+
+impl Tally {
+    /// Counts one serve-layer result and builds its reply frame.
+    fn reply(&mut self, req_id: u64, epoch: u64, res: Result<Response, ServeError>) -> Frame {
+        match res {
+            Ok(Response { bin }) => {
+                self.digest.write_u64(bin as u64);
+                self.served += 1;
+                Frame::RespBin {
+                    req_id,
+                    bin: bin as u64,
+                    epoch,
+                }
+            }
+            Err(e) => {
+                self.rejected += 1;
+                Frame::RespErr {
+                    req_id,
+                    code: e.into(),
+                }
+            }
+        }
+    }
+}
+
 /// Per-connection dispatch state.
 enum Driver {
     /// No valid `HELLO` yet: the only acceptable frame identifies the
     /// client.
     AwaitingHello,
-    Inline(Box<SnapshotService<SharedSink>>),
-    Stacked(Box<StackedSvc>),
+    Inline(Box<SnapshotService<Rc<RefCell<DirectCluster>>>>),
+    Stacked(Box<WorkerStack<ShardHandle>>),
     Replay { client: usize },
 }
 
@@ -198,14 +209,23 @@ enum Store {
 }
 
 struct ReplayState {
-    allocators: Vec<SnapshotAllocator>,
+    /// Client `w` is the turnstile's worker `w`.
+    turnstile: Turnstile,
     /// Decoded-but-unserved requests per client, awaiting their
     /// round-robin turn.
     pending: Vec<VecDeque<(u64, Request)>>,
     /// Connection slot currently owned by each client id.
     conn_of: Vec<Option<usize>>,
-    /// Global step: request `t` is served by client `t mod clients`.
-    t: u64,
+}
+
+impl ReplayState {
+    /// Queues `frame` on client `w`'s connection, if it is still open.
+    fn send(&self, conns: &mut [Option<ConnEntry>], w: usize, frame: &Frame) {
+        let conn = self.conn_of[w].and_then(|idx| conns.get_mut(idx));
+        if let Some(entry) = conn.and_then(Option::as_mut) {
+            entry.conn.queue(frame);
+        }
+    }
 }
 
 /// A bound, not-yet-running server. [`run`](Self::run) consumes it on the
@@ -284,20 +304,11 @@ impl NetServer {
                 None,
             ))),
         };
-        let replay = match self.cfg.mode {
-            ServerMode::Replay { clients } => Some(ReplayState {
-                allocators: (0..clients)
-                    .map(|w| {
-                        SnapshotAllocator::new(
-                            self.cfg.n,
-                            self.cfg.staleness,
-                            point_seed(self.cfg.seed, w as u64),
-                        )
-                    })
-                    .collect(),
+        let replay = match (self.cfg.mode, &store) {
+            (ServerMode::Replay { clients }, Store::Direct(direct)) => Some(ReplayState {
+                turnstile: Turnstile::new(direct, clients, self.cfg.staleness, self.cfg.seed),
                 pending: (0..clients).map(|_| VecDeque::new()).collect(),
                 conn_of: vec![None; clients],
-                t: 0,
             }),
             _ => None,
         };
@@ -327,10 +338,8 @@ impl NetServer {
             permits,
             shed: ShedCounter::new(),
             replay,
-            digest: Fnv1a::new(),
+            tally: Tally::default(),
             accepted: 0,
-            served: 0,
-            rejected: 0,
             protocol_errors: 0,
             refreshes: 0,
             run_ids: Vec::new(),
@@ -352,10 +361,8 @@ struct Reactor {
     permits: Option<Permits>,
     shed: ShedCounter,
     replay: Option<ReplayState>,
-    digest: Fnv1a,
+    tally: Tally,
     accepted: u64,
-    served: u64,
-    rejected: u64,
     protocol_errors: u64,
     refreshes: u64,
     /// Scratch: req_ids of the inline run currently being batched.
@@ -440,28 +447,27 @@ impl Reactor {
         if eof {
             entry.close_after_flush = true;
         }
-        let flushed = entry.conn.flush().unwrap_or_else(|_| {
-            entry.close_after_flush = true;
-            true
-        });
-        if entry.close_after_flush && (flushed || entry.conn.eof()) {
-            self.close_conn(entry);
-        } else {
-            self.conns[idx] = Some(entry);
-        }
+        self.flush_or_close(idx, entry);
     }
 
     /// A writable edge: flush what is queued; close if that was the last
     /// duty.
     fn conn_writable(&mut self, idx: usize) {
-        let Some(mut entry) = self.conns.get_mut(idx).and_then(Option::take) else {
-            return;
-        };
+        if let Some(entry) = self.conns.get_mut(idx).and_then(Option::take) {
+            self.flush_or_close(idx, entry);
+        }
+    }
+
+    /// Flushes `entry`, then closes it if closing is all that is left to
+    /// do (flushed, or the peer is gone), or files it back under `idx`.
+    /// A peer's EOF is only ever seen on the readable edge, which closes
+    /// the connection, so on a writable edge the EOF test never fires.
+    fn flush_or_close(&mut self, idx: usize, mut entry: ConnEntry) {
         let flushed = entry.conn.flush().unwrap_or_else(|_| {
             entry.close_after_flush = true;
             true
         });
-        if entry.close_after_flush && flushed {
+        if entry.close_after_flush && (flushed || entry.conn.eof()) {
             self.close_conn(entry);
         } else {
             self.conns[idx] = Some(entry);
@@ -485,15 +491,11 @@ impl Reactor {
                     Frame::Alloc { req_id, .. } => {
                         let req = frame.request().expect("ALLOC has a request");
                         if servable(&req) {
-                            self.dispatch_alloc(entry, idx, req_id, req, &mut template);
+                            self.dispatch_alloc(entry, req_id, req, &mut template);
                         } else {
                             // Flush first so replies keep request order.
                             self.flush_run(entry, &mut template);
-                            entry.conn.queue(&Frame::RespErr {
-                                req_id,
-                                code: ErrorCode::Malformed,
-                            });
-                            self.protocol_errors += 1;
+                            self.refuse(entry, req_id, ErrorCode::Malformed);
                         }
                     }
                     Frame::Hello { client_id, epoch } => {
@@ -514,11 +516,7 @@ impl Reactor {
                 Ok(None) => break,
                 Err(e) => {
                     self.flush_run(entry, &mut template);
-                    entry.conn.queue(&Frame::RespErr {
-                        req_id: 0,
-                        code: e.code(),
-                    });
-                    self.protocol_errors += 1;
+                    self.refuse(entry, 0, e.code());
                     if e.is_fatal() {
                         entry.close_after_flush = true;
                         break;
@@ -529,22 +527,23 @@ impl Reactor {
         self.flush_run(entry, &mut template);
     }
 
+    /// Answers a protocol violation on `entry` with `code`, counting it.
+    fn refuse(&mut self, entry: &mut ConnEntry, req_id: u64, code: ErrorCode) {
+        entry.conn.queue(&Frame::RespErr { req_id, code });
+        self.protocol_errors += 1;
+    }
+
     /// Routes one `ALLOC` by the connection's driver.
     fn dispatch_alloc(
         &mut self,
         entry: &mut ConnEntry,
-        _idx: usize,
         req_id: u64,
         req: Request,
         template: &mut Option<Request>,
     ) {
         match &mut entry.driver {
             Driver::AwaitingHello => {
-                entry.conn.queue(&Frame::RespErr {
-                    req_id,
-                    code: ErrorCode::BadHello,
-                });
-                self.protocol_errors += 1;
+                self.refuse(entry, req_id, ErrorCode::BadHello);
                 entry.close_after_flush = true;
             }
             Driver::Inline(_) => {
@@ -554,24 +553,10 @@ impl Reactor {
                 }
                 self.run_ids.push(req_id);
             }
-            Driver::Stacked(stack) => match stack.call(req) {
-                Ok(resp) => {
-                    self.digest.write_u64(resp.bin as u64);
-                    self.served += 1;
-                    entry.conn.queue(&Frame::RespBin {
-                        req_id,
-                        bin: resp.bin as u64,
-                        epoch: self.epoch,
-                    });
-                }
-                Err(e) => {
-                    self.rejected += 1;
-                    entry.conn.queue(&Frame::RespErr {
-                        req_id,
-                        code: e.into(),
-                    });
-                }
-            },
+            Driver::Stacked(stack) => {
+                let res = stack.call(req);
+                entry.conn.queue(&self.tally.reply(req_id, self.epoch, res));
+            }
             Driver::Replay { client } => {
                 let replay = self.replay.as_mut().expect("replay mode has state");
                 replay.pending[*client].push_back((req_id, req));
@@ -589,34 +574,11 @@ impl Reactor {
         if self.run_ids.is_empty() {
             return;
         }
-        let conn = &mut entry.conn;
-        let digest = &mut self.digest;
-        let served = &mut self.served;
-        let rejected = &mut self.rejected;
-        let epoch = self.epoch;
-        let mut i = 0usize;
-        let ids = &self.run_ids;
+        let (conn, tally, epoch) = (&mut entry.conn, &mut self.tally, self.epoch);
+        let mut ids = self.run_ids.iter();
         svc.call_block(&req, ids.len() as u64, &mut |res| {
-            let req_id = ids[i];
-            i += 1;
-            match res {
-                Ok(resp) => {
-                    digest.write_u64(resp.bin as u64);
-                    *served += 1;
-                    conn.queue(&Frame::RespBin {
-                        req_id,
-                        bin: resp.bin as u64,
-                        epoch,
-                    });
-                }
-                Err(e) => {
-                    *rejected += 1;
-                    conn.queue(&Frame::RespErr {
-                        req_id,
-                        code: e.into(),
-                    });
-                }
-            }
+            let req_id = *ids.next().expect("one result per batched request");
+            conn.queue(&tally.reply(req_id, epoch, res));
         });
         self.run_ids.clear();
     }
@@ -625,21 +587,13 @@ impl Reactor {
     fn handle_hello(&mut self, entry: &mut ConnEntry, idx: usize, client_id: u32, epoch: u64) {
         if !matches!(entry.driver, Driver::AwaitingHello) {
             // Re-identifying is a protocol error but not fatal.
-            entry.conn.queue(&Frame::RespErr {
-                req_id: 0,
-                code: ErrorCode::BadHello,
-            });
-            self.protocol_errors += 1;
+            self.refuse(entry, 0, ErrorCode::BadHello);
             return;
         }
         if epoch != 0 && epoch != self.epoch {
             // The client asserted a membership it no longer has: refuse
             // before any decision state is built so it can re-discover.
-            entry.conn.queue(&Frame::RespErr {
-                req_id: 0,
-                code: ErrorCode::StaleEpoch,
-            });
-            self.protocol_errors += 1;
+            self.refuse(entry, 0, ErrorCode::StaleEpoch);
             entry.close_after_flush = true;
             return;
         }
@@ -649,11 +603,7 @@ impl Reactor {
             (Store::Direct(_), Some(replay)) => {
                 let client = client_id as usize;
                 if client >= replay.conn_of.len() || replay.conn_of[client].is_some() {
-                    entry.conn.queue(&Frame::RespErr {
-                        req_id: 0,
-                        code: ErrorCode::BadHello,
-                    });
-                    self.protocol_errors += 1;
+                    self.refuse(entry, 0, ErrorCode::BadHello);
                     entry.close_after_flush = true;
                     return;
                 }
@@ -662,7 +612,7 @@ impl Reactor {
             }
             (Store::Direct(store), None) => Driver::Inline(Box::new(SnapshotService::new(
                 alloc,
-                SharedSink(Rc::clone(store)),
+                Rc::clone(store),
                 self.clock.clone(),
             ))),
             (Store::Cluster(cluster), _) => {
@@ -671,9 +621,8 @@ impl Reactor {
                     .expect("cluster lives until finish")
                     .handle();
                 let leaf = SnapshotService::new(alloc, handle, self.clock.clone());
-                let permits = self.permits.clone().expect("stacked mode has permits");
-                let limited = InFlightLimitLayer::new(permits).layer(leaf);
-                Driver::Stacked(Box::new(LoadShedLayer::new(self.shed.clone()).layer(limited)))
+                let permits = self.permits.as_ref().expect("stacked mode has permits");
+                Driver::Stacked(Box::new(worker_stack(leaf, permits, &self.shed)))
             }
         };
     }
@@ -683,40 +632,14 @@ impl Reactor {
         let Some(mut replay) = self.replay.take() else {
             return;
         };
-        let clients = replay.pending.len() as u64;
         loop {
-            let w = (replay.t % clients) as usize;
+            let w = replay.turnstile.next_worker();
             let Some((req_id, req)) = replay.pending[w].pop_front() else {
                 break;
             };
-            let Store::Direct(store) = &self.store else {
-                unreachable!("replay mode uses the direct store");
-            };
-            let alloc = &mut replay.allocators[w];
-            if alloc.needs_refresh(replay.t) {
-                store
-                    .borrow_mut()
-                    .refresh(alloc.snapshot_mut())
-                    .expect("direct sinks cannot reject");
-                alloc.note_refresh(replay.t);
-            }
-            let bin = alloc.decide(&req);
-            store
-                .borrow_mut()
-                .apply(bin)
-                .expect("direct sinks cannot reject");
-            self.digest.write_u64(bin as u64);
-            self.served += 1;
-            replay.t += 1;
-            if let Some(conn_idx) = replay.conn_of[w] {
-                if let Some(entry) = self.conns.get_mut(conn_idx).and_then(Option::as_mut) {
-                    entry.conn.queue(&Frame::RespBin {
-                        req_id,
-                        bin: bin as u64,
-                        epoch: self.epoch,
-                    });
-                }
-            }
+            let bin = replay.turnstile.serve(&req);
+            let frame = self.tally.reply(req_id, self.epoch, Ok(Response { bin }));
+            replay.send(&mut self.conns, w, &frame);
         }
         self.replay = Some(replay);
         // Opportunistic flush of everything the pump queued.
@@ -743,19 +666,11 @@ impl Reactor {
         // Replay requests whose round-robin turn never came are answered,
         // not dropped.
         if let Some(mut replay) = self.replay.take() {
-            for (w, queue) in replay.pending.iter_mut().enumerate() {
-                while let Some((req_id, _req)) = queue.pop_front() {
-                    self.rejected += 1;
-                    if let Some(conn_idx) = replay.conn_of[w] {
-                        if let Some(entry) =
-                            self.conns.get_mut(conn_idx).and_then(Option::as_mut)
-                        {
-                            entry.conn.queue(&Frame::RespErr {
-                                req_id,
-                                code: ErrorCode::ShuttingDown,
-                            });
-                        }
-                    }
+            for w in 0..replay.pending.len() {
+                while let Some((req_id, _req)) = replay.pending[w].pop_front() {
+                    self.tally.rejected += 1;
+                    let code = ErrorCode::ShuttingDown;
+                    replay.send(&mut self.conns, w, &Frame::RespErr { req_id, code });
                 }
             }
             self.replay = Some(replay);
@@ -796,7 +711,7 @@ impl Reactor {
 
     fn finish(mut self) -> io::Result<ServerReport> {
         if let Some(replay) = &self.replay {
-            self.refreshes += replay.allocators.iter().map(SnapshotAllocator::refreshes).sum::<u64>();
+            self.refreshes += replay.turnstile.refreshes();
         }
         debug_assert!(self.conns.iter().all(Option::is_none), "drain closed all");
         let state = match self.store {
@@ -805,16 +720,16 @@ impl Reactor {
         };
         assert_eq!(
             state.balls(),
-            self.served,
+            self.tally.served,
             "the final authoritative state must hold every served ball"
         );
         Ok(ServerReport {
             accepted: self.accepted,
-            served: self.served,
-            rejected: self.rejected,
+            served: self.tally.served,
+            rejected: self.tally.rejected,
             protocol_errors: self.protocol_errors,
             refreshes: self.refreshes,
-            digest: self.digest.finish(),
+            digest: self.tally.digest.finish(),
             state,
         })
     }

@@ -106,12 +106,6 @@ impl Autoscaler {
         }
     }
 
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &AutoscaleConfig {
-        &self.cfg
-    }
-
     /// Scale-outs recommended so far.
     #[must_use]
     pub fn scale_outs(&self) -> u64 {
@@ -138,7 +132,7 @@ impl Autoscaler {
         while self.boundary <= now {
             self.boundary += self.cfg.window;
         }
-        let total = shed.count();
+        let total = shed.total();
         let in_window = total - self.last_total;
         self.last_total = total;
         if in_window >= self.cfg.shed_threshold {

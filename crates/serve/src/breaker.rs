@@ -22,11 +22,10 @@
 //! [`Broken`]: ServeError::Broken
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use balloc_sim::VClock;
 
+use crate::counters::{counter_events, Counters};
 use crate::service::{Layer, ServeError, Service};
 
 /// Configuration of a [`CircuitBreaker`].
@@ -91,39 +90,20 @@ impl std::fmt::Display for BreakerState {
     }
 }
 
+counter_events! {
+    /// Events counted by [`CircuitBreaker`].
+    BreakerEvent {
+        /// A request was rejected by an open breaker.
+        Broken,
+        /// A transition into the open state (a trip or a failed probe).
+        Opened,
+        /// A successful half-open probe (a transition back to closed).
+        Reclosed,
+    }
+}
+
 /// Shared breaker observability counters.
-#[derive(Debug, Clone, Default)]
-pub struct BreakerStats {
-    broken: Arc<AtomicU64>,
-    opened: Arc<AtomicU64>,
-    reclosed: Arc<AtomicU64>,
-}
-
-impl BreakerStats {
-    /// Fresh counters at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests rejected by an open breaker.
-    #[must_use]
-    pub fn broken(&self) -> u64 {
-        self.broken.load(Ordering::Relaxed)
-    }
-
-    /// Transitions into the open state (trips and failed probes).
-    #[must_use]
-    pub fn opened(&self) -> u64 {
-        self.opened.load(Ordering::Relaxed)
-    }
-
-    /// Successful half-open probes (transitions back to closed).
-    #[must_use]
-    pub fn reclosed(&self) -> u64 {
-        self.reclosed.load(Ordering::Relaxed)
-    }
-}
+pub type BreakerStats = Counters<BreakerEvent>;
 
 /// Internal state: `Open` remembers when the cooldown ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,7 +169,7 @@ impl<S> CircuitBreaker<S> {
         };
         self.window.clear();
         self.failures = 0;
-        self.stats.opened.fetch_add(1, Ordering::Relaxed);
+        self.stats.bump(BreakerEvent::Opened);
     }
 
     fn record_closed_outcome(&mut self, failed: bool) {
@@ -220,7 +200,7 @@ impl<Req, S: Service<Req>> Service<Req> for CircuitBreaker<S> {
     fn call(&mut self, req: Req) -> Result<Self::Response, ServeError> {
         if let State::Open { until } = self.state {
             if self.clock.now() < until {
-                self.stats.broken.fetch_add(1, Ordering::Relaxed);
+                self.stats.bump(BreakerEvent::Broken);
                 return Err(ServeError::Broken);
             }
             self.state = State::HalfOpen;
@@ -235,7 +215,7 @@ impl<Req, S: Service<Req>> Service<Req> for CircuitBreaker<S> {
                     self.state = State::Closed;
                     self.window.clear();
                     self.failures = 0;
-                    self.stats.reclosed.fetch_add(1, Ordering::Relaxed);
+                    self.stats.bump(BreakerEvent::Reclosed);
                 }
             }
             State::Closed => self.record_closed_outcome(failed),
@@ -365,7 +345,7 @@ mod tests {
         assert_eq!(b.state(), BreakerState::Closed);
         assert_eq!(b.call(1), Err(error), "second failure still reaches the backend");
         assert_eq!(b.state(), BreakerState::Open, "threshold of 2 trips the breaker");
-        assert_eq!(stats.opened(), 1);
+        assert_eq!(stats.get(BreakerEvent::Opened), 1);
 
         // 3: failures older than the window roll out and don't trip.
         let clock = VClock::new();
@@ -399,7 +379,7 @@ mod tests {
         assert_eq!(b.call(2), Err(ServeError::Broken));
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(b.inner.calls, backend_calls, "open never touches the backend");
-        assert_eq!(stats.broken(), 1);
+        assert_eq!(stats.get(BreakerEvent::Broken), 1);
 
         // 5: the elapsed cooldown resolves to half-open.
         clock.advance(1).unwrap();
@@ -408,8 +388,8 @@ mod tests {
         // 7 (same breaker): the probe fails → open again, new cooldown.
         assert_eq!(b.call(3), Err(error), "the probe reaches the backend");
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(stats.opened(), 2);
-        assert_eq!(stats.broken(), 1, "the probe itself is not a Broken rejection");
+        assert_eq!(stats.get(BreakerEvent::Opened), 2);
+        assert_eq!(stats.get(BreakerEvent::Broken), 1, "the probe itself is not a Broken rejection");
 
         // 6: a successful probe closes the breaker and resets the window.
         let clock = VClock::new();
@@ -432,7 +412,7 @@ mod tests {
         clock.advance(10).unwrap();
         assert_eq!(b.call(2), Ok(2), "successful probe");
         assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(stats.reclosed(), 1);
+        assert_eq!(stats.get(BreakerEvent::Reclosed), 1);
         assert_eq!(b.window.len(), 0, "re-closing resets the window");
     }
 
@@ -505,12 +485,12 @@ mod tests {
         }
         assert_eq!(outcomes, requests, "every request resolved exactly once");
         assert_eq!(
-            b.inner.calls + stats.broken(),
+            b.inner.calls + stats.get(BreakerEvent::Broken),
             requests,
             "each request either reached the backend or was rejected Broken"
         );
-        assert!(stats.opened() > 0, "the script must have tripped it");
-        assert!(stats.reclosed() > 0, "and recovered at least once");
+        assert!(stats.get(BreakerEvent::Opened) > 0, "the script must have tripped it");
+        assert!(stats.get(BreakerEvent::Reclosed) > 0, "and recovered at least once");
     }
 
     #[test]

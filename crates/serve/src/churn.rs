@@ -17,16 +17,16 @@
 //! balls between buckets without creating or destroying them:
 //!
 //! ```text
-//! allocated + shed + timed_out + broken + in_migration + departures
+//! allocated + shed + timed_out + broken + in_migration + departed
 //!     == arrivals
 //! ```
 //!
 //! `allocated` counts balls currently resident, `in_migration` balls
 //! mid-handoff after an ownership change (debited from their shard the
 //! tick the change lands, re-credited as the new owner absorbs them at
-//! [`ChurnConfig::migration_rate`] balls per tick), and `departures`
-//! balls the churn schedule deleted. The engine `debug_assert!`s the
-//! ledger after **every** event slot and hard-asserts it at the end,
+//! [`ChurnConfig::migration_rate`] balls per tick), and `departed`
+//! balls the churn schedule deleted. The engine checks the [`Ledger`]
+//! after **every** event slot in debug builds and at the end always,
 //! after the final migration drain — including schedules that remove a
 //! shard while a previous change's migration is still in flight.
 //!
@@ -52,6 +52,8 @@ use balloc_sim::VClock;
 
 use crate::autoscale::{AutoscaleConfig, Autoscaler, ScaleAction};
 use crate::directory::{RebalanceKind, ShardDirectory};
+use crate::engine::validate_shape;
+use crate::ledger::Ledger;
 use crate::service::{Request, Response, ServeError, Service};
 use crate::shed::{LoadShed, LoadShedLayer, ShedCounter};
 use crate::snapshot::{SnapshotAllocator, Staleness};
@@ -138,16 +140,12 @@ impl ChurnConfig {
     ///
     /// # Panics
     ///
-    /// Panics on zero bins/shards/workers/requests, `shards > n`,
-    /// `depart_pm > 1000`, a zero migration rate, token cadence, or
-    /// burst, an unsorted plan, or an invalid autoscale config.
+    /// Panics on zero bins/shards/workers/requests, `shards > n`, a
+    /// zero staleness parameter, `depart_pm > 1000`, a zero migration
+    /// rate, token cadence, or burst, an unsorted plan, or an invalid
+    /// autoscale config.
     pub fn validate(&self) {
-        assert!(self.n > 0, "need at least one bin");
-        assert!(
-            (1..=self.n).contains(&self.shards),
-            "shards must lie in 1..=n"
-        );
-        assert!(self.workers > 0, "need at least one worker");
+        validate_shape(self.n, self.shards, self.workers, self.staleness);
         assert!(self.requests > 0, "need at least one event slot");
         assert!(self.depart_pm <= 1000, "depart_pm is per-mille");
         assert!(self.migration_rate > 0, "migration_rate must be positive");
@@ -266,9 +264,7 @@ struct Run {
     /// Bins of balls mid-migration, drained FIFO.
     migrating: VecDeque<u32>,
     digest: Fnv1a,
-    clock: VClock,
     departures: u64,
-    shed_base: u64,
     migrated: u64,
     moved_bins: u64,
     changes: u64,
@@ -279,10 +275,9 @@ struct Run {
 }
 
 impl Run {
-    /// Applies one planned change through the directory, moving every
-    /// ball on a transferred bin into the migration queue.
-    fn apply_change(&mut self, planned: PlannedChange) {
-        let now = self.clock.now();
+    /// Applies one planned change through the directory at tick `now`,
+    /// moving every ball on a transferred bin into the migration queue.
+    fn apply_change(&mut self, planned: PlannedChange, now: u64) {
         let moves = match planned {
             PlannedChange::Insert => {
                 if self.dir.len() == self.dir.n() {
@@ -346,20 +341,17 @@ impl Run {
         }
     }
 
-    /// The ledger, checked after every event slot.
-    fn assert_ledger(&self, arrivals: u64, shed: u64) {
-        let resident = self.balls.len() as u64;
-        let in_migration = self.migrating.len() as u64;
-        assert_eq!(
-            resident + in_migration + shed + self.departures,
-            arrivals,
-            "conservation ledger violated"
-        );
-        assert_eq!(
-            self.state.borrow().balls(),
-            resident,
-            "resident balls out of sync with the load state"
-        );
+    /// Checks the ledger: every arrival is resident, shed, migrating,
+    /// or departed, and the load state holds exactly the resident balls.
+    fn check_ledger(&self, arrivals: u64, shed: u64, counter: &ShedCounter) {
+        let ledger = Ledger {
+            allocated: self.balls.len() as u64,
+            shed,
+            in_migration: self.migrating.len() as u64,
+            departed: self.departures,
+            ..Ledger::default()
+        };
+        ledger.check(arrivals, self.state.borrow().balls(), counter);
     }
 }
 
@@ -369,7 +361,7 @@ impl Run {
 /// # Panics
 ///
 /// Panics if the config fails [`ChurnConfig::validate`] or if the
-/// conservation ledger is ever violated.
+/// conservation [`Ledger`] ever fails to close.
 #[must_use]
 pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
     cfg.validate();
@@ -403,9 +395,7 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
         balls: Vec::new(),
         migrating: VecDeque::new(),
         digest: Fnv1a::new(),
-        clock: clock.clone(),
         departures: 0,
-        shed_base: 0,
         migrated: 0,
         moved_bins: 0,
         changes: 0,
@@ -420,7 +410,6 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
     let mut plan = cfg.plan.iter().copied().peekable();
     let mut arrivals = 0u64;
     let mut shed = 0u64;
-    let (mut autoscale_outs, mut autoscale_ins) = (0u64, 0u64);
 
     for t in 0..cfg.requests {
         let now = clock.now();
@@ -431,21 +420,16 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
         // 2. Scripted membership changes due at this tick.
         while plan.peek().is_some_and(|&(at, _)| at <= now) {
             let (_, planned) = plan.next().unwrap();
-            run.apply_change(planned);
+            run.apply_change(planned, now);
         }
         // 3. Shed-driven autoscaling, through the same directory.
-        if let Some(auto) = auto.as_mut() {
-            match auto.poll(now, &counter, run.dir.len()) {
-                Some(ScaleAction::Out) => {
-                    autoscale_outs += 1;
-                    run.apply_change(PlannedChange::Insert);
-                }
-                Some(ScaleAction::In) => {
-                    autoscale_ins += 1;
-                    run.apply_change(PlannedChange::RemoveNewest);
-                }
-                None => {}
-            }
+        match auto
+            .as_mut()
+            .and_then(|a| a.poll(now, &counter, run.dir.len()))
+        {
+            Some(ScaleAction::Out) => run.apply_change(PlannedChange::Insert, now),
+            Some(ScaleAction::In) => run.apply_change(PlannedChange::RemoveNewest, now),
+            None => {}
         }
         // 4. Migration drain.
         run.drain_migrations(cfg.migration_rate);
@@ -481,7 +465,7 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
             }
         }
         if cfg!(debug_assertions) {
-            run.assert_ledger(arrivals, shed);
+            run.check_ledger(arrivals, shed, &counter);
         }
         clock
             .advance(1)
@@ -497,9 +481,8 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
             .expect("the churn engine sets no deadlines");
     }
 
-    run.assert_ledger(arrivals, shed);
+    run.check_ledger(arrivals, shed, &counter);
     assert_eq!(arrivals + run.departures, cfg.requests);
-    assert_eq!(shed, counter.count() - run.shed_base);
     let refreshes: u64 = stacks
         .drain(..)
         .map(|s| s.into_inner().alloc.refreshes())
@@ -520,8 +503,8 @@ pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
         changes_skipped: run.changes_skipped,
         inserts: run.inserts,
         removes: run.removes,
-        autoscale_outs,
-        autoscale_ins,
+        autoscale_outs: auto.as_ref().map_or(0, Autoscaler::scale_outs),
+        autoscale_ins: auto.as_ref().map_or(0, Autoscaler::scale_ins),
         final_members: run.dir.len(),
         max_members: run.max_members,
         epoch: run.dir.epoch().0,

@@ -1,6 +1,7 @@
 //! Shard-store lifecycles behind the [`LoadSink`] seam: the concurrent
 //! buffer-backed [`ShardCluster`] and the single-threaded
-//! [`DirectCluster`].
+//! [`DirectCluster`], shared between a thread's services as
+//! `Rc<RefCell<DirectCluster>>`.
 //!
 //! Both in-process engines and the TCP front-end need the same thing from
 //! the authoritative store: spawn it, hand out apply/refresh handles,
@@ -9,6 +10,8 @@
 //! module is the extraction, so a reactor thread can own a cluster the
 //! same way the closed-loop engine does.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use balloc_core::LoadState;
@@ -160,6 +163,12 @@ impl DirectCluster {
     pub fn state(&self) -> LoadState {
         merge_states(&self.shards)
     }
+
+    /// The membership map routing bins to shards.
+    #[must_use]
+    pub fn directory(&self) -> &ShardDirectory {
+        &self.directory
+    }
 }
 
 impl LoadSink for DirectCluster {
@@ -173,6 +182,19 @@ impl LoadSink for DirectCluster {
             shard.publish_into(snapshot);
         }
         Ok(())
+    }
+}
+
+/// One direct store shared by every service on a thread (the replay
+/// engines' workers, the reactor's connections): each call borrows it
+/// for exactly one apply or refresh.
+impl LoadSink for Rc<RefCell<DirectCluster>> {
+    fn apply(&mut self, bin: usize) -> Result<(), ServeError> {
+        self.borrow_mut().apply(bin)
+    }
+
+    fn refresh(&mut self, snapshot: &mut [u64]) -> Result<(), ServeError> {
+        self.borrow_mut().refresh(snapshot)
     }
 }
 

@@ -146,12 +146,6 @@ impl ShardDirectory {
         self.n
     }
 
-    /// The rebalance policy.
-    #[must_use]
-    pub fn rebalance(&self) -> RebalanceKind {
-        self.rebalance
-    }
-
     /// The current membership epoch.
     #[must_use]
     pub fn epoch(&self) -> MembershipEpoch {

@@ -1,32 +1,35 @@
 //! The serve engine: closed-loop concurrent serving and deterministic
-//! single-threaded replay over the same decision code.
+//! single-threaded replay.
 //!
-//! Both modes run the same stack per worker —
-//! `LoadShed(InFlightLimit(SnapshotService))` over a [`LoadSink`] — and the
-//! same [`SnapshotAllocator`] decision state with the same per-worker
-//! seeds. They differ only in scheduling:
+//! Both engines give worker `w` a [`SnapshotService`] whose decision
+//! state is seeded with [`point_seed`]`(seed, w)`. They differ in the
+//! store and the schedule:
 //!
 //! * [`run_concurrent`] drives `workers` OS threads through
-//!   `workpool::par_map_indexed`; shard state lives behind
-//!   [`Buffer`](crate::Buffer) workers and snapshot refreshes race with
-//!   applies, so decisions (and the achieved gap) vary run to run while
-//!   totals are exact;
-//! * [`run_replay`] interleaves the same virtual workers round-robin on
-//!   one thread with direct (unbuffered) shard access, making the
-//!   decision stream a pure function of the seed — bit-identical across
-//!   runs, digestible, and diffable (the determinism contract extends
-//!   PR 2's sweep seeding and PR 4's batched-engine guarantees to the
-//!   serving layer).
+//!   `workpool::par_map_indexed`, each serving through its
+//!   [`worker_stack`] over a buffered [`ShardCluster`]. Snapshot
+//!   refreshes race with applies, so decisions (and the achieved gap)
+//!   vary run to run while totals are exact;
+//! * [`run_replay`] is a loop over a [`Turnstile`]: the workers' services
+//!   over one direct store, request `t` served by worker `t mod W` on the
+//!   calling thread. The store never rejects and one request is in
+//!   flight, so no shed or in-flight layer is needed, and the decision
+//!   stream is a pure function of the seed — bit-identical across runs,
+//!   digestible, and diffable. The TCP reactor's replay mode drives the
+//!   same turnstile, one connection per worker.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use balloc_core::rng::{point_seed, Fnv1a};
 use balloc_core::LoadState;
 
 use crate::cluster::{DirectCluster, ShardCluster};
-use crate::limit::{InFlightLimitLayer, Permits};
+use crate::ledger::Ledger;
+use crate::limit::{InFlightLimit, InFlightLimitLayer, Permits};
 use crate::service::{Layer, Request, ServeError, Service};
-use crate::shed::{LoadShedLayer, ShedCounter};
+use crate::shed::{LoadShed, LoadShedLayer, ShedCause, ShedCounter};
 use crate::sink::{LoadSink, ServeClock, SnapshotService};
 use crate::snapshot::{SnapshotAllocator, Staleness};
 
@@ -110,29 +113,26 @@ impl ServeConfig {
     }
 
     fn validate(&self) {
-        assert!(self.n > 0, "need at least one bin");
-        assert!(self.workers > 0, "need at least one worker");
+        validate_shape(self.n, self.shards, self.workers, self.staleness);
         assert!(self.buffer_capacity > 0, "buffer capacity must be positive");
         assert!(
             self.inflight != Some(0),
             "in-flight limit must be positive (use None for unlimited)"
         );
-        self.staleness.validate();
-        // ShardDirectory::uniform re-checks, but fail early with the full
-        // story.
-        assert!(
-            self.shards > 0 && self.shards <= self.n,
-            "shards must lie in 1..=n (got {} shards over {} bins)",
-            self.shards,
-            self.n
-        );
     }
+}
 
-    /// Requests served by worker `w` (round-robin split of
-    /// [`requests`](Self::requests)).
-    fn requests_of_worker(&self, w: usize) -> u64 {
-        worker_share(self.requests, self.workers, w)
-    }
+/// Asserts the shape every replayable engine shares: bins, workers,
+/// `shards ∈ 1..=n`, and a usable staleness. `ShardDirectory::uniform`
+/// re-checks the shards, but this fails early with the full story.
+pub(crate) fn validate_shape(n: usize, shards: usize, workers: usize, staleness: Staleness) {
+    assert!(n > 0, "need at least one bin");
+    assert!(workers > 0, "need at least one worker");
+    assert!(
+        shards > 0 && shards <= n,
+        "shards must lie in 1..=n (got {shards} shards over {n} bins)"
+    );
+    staleness.validate();
 }
 
 /// Requests worker `w` serves under the engines' round-robin split of
@@ -174,31 +174,6 @@ pub struct ServeOutcome {
     pub max_load: u64,
 }
 
-impl ServeOutcome {
-    fn measure(
-        requests: u64,
-        allocated: u64,
-        shed: &ShedCounter,
-        refreshes: u64,
-        elapsed: Duration,
-        state: &LoadState,
-    ) -> Self {
-        let secs = elapsed.as_secs_f64();
-        Self {
-            requests,
-            allocated,
-            shed: shed.total(),
-            shed_buffer_full: shed.buffer_full(),
-            shed_at_capacity: shed.at_capacity(),
-            refreshes,
-            elapsed,
-            throughput_rps: if secs > 0.0 { requests as f64 / secs } else { 0.0 },
-            gap: state.gap(),
-            max_load: state.max_load(),
-        }
-    }
-}
-
 /// A replayed run: the [`ServeOutcome`] plus the decision-stream digest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayOutcome {
@@ -212,7 +187,82 @@ pub struct ReplayOutcome {
     pub digest: u64,
 }
 
+/// A worker's per-request serving stack: `LoadShed(InFlightLimit(leaf))`.
+pub type WorkerStack<K> = LoadShed<InFlightLimit<SnapshotService<K>>>;
+
+/// Wraps `leaf` in the per-request stack, drawing from the shared
+/// `permits` and recording sheds into `shed`.
+#[must_use]
+pub fn worker_stack<K: LoadSink>(
+    leaf: SnapshotService<K>,
+    permits: &Permits,
+    shed: &ShedCounter,
+) -> WorkerStack<K> {
+    let limited = InFlightLimitLayer::new(permits.clone()).layer(leaf);
+    LoadShedLayer::new(shed.clone()).layer(limited)
+}
+
+/// The deterministic replay step: `W` [`SnapshotService`]s over one
+/// shared direct store and one [`ServeClock`], where request `t` is
+/// served by worker `t mod W`.
+#[derive(Debug)]
+pub struct Turnstile {
+    workers: Vec<SnapshotService<Rc<RefCell<DirectCluster>>>>,
+    /// Requests served so far.
+    t: u64,
+}
+
+impl Turnstile {
+    /// `workers` services over `store`, worker `w` seeded with
+    /// [`point_seed`]`(seed, w)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers == 0` or the staleness parameter is zero.
+    #[must_use]
+    pub fn new(
+        store: &Rc<RefCell<DirectCluster>>,
+        workers: usize,
+        staleness: Staleness,
+        seed: u64,
+    ) -> Self {
+        assert!(workers > 0, "need at least one worker");
+        let n = store.borrow().directory().n();
+        let clock = ServeClock::new();
+        let service = |w: usize| {
+            let alloc = SnapshotAllocator::new(n, staleness, point_seed(seed, w as u64));
+            SnapshotService::new(alloc, Rc::clone(store), clock.clone())
+        };
+        Self {
+            workers: (0..workers).map(service).collect(),
+            t: 0,
+        }
+    }
+
+    /// The worker that serves the next request.
+    #[must_use]
+    pub fn next_worker(&self) -> usize {
+        (self.t % self.workers.len() as u64) as usize
+    }
+
+    /// Serves the next request on [`next_worker`](Self::next_worker) and
+    /// returns the chosen bin.
+    pub fn serve(&mut self, req: &Request) -> usize {
+        let w = self.next_worker();
+        self.t += 1;
+        let resp = self.workers[w].call(*req);
+        resp.expect("direct sinks cannot reject").bin
+    }
+
+    /// Snapshot refreshes summed over the workers.
+    #[must_use]
+    pub fn refreshes(&self) -> u64 {
+        self.workers.iter().map(SnapshotService::refreshes).sum()
+    }
+}
+
 /// Per-worker closed-loop counters.
+#[derive(Default)]
 struct WorkerStats {
     allocated: u64,
     shed: u64,
@@ -229,15 +279,9 @@ fn worker_loop<K: LoadSink>(
     shed: &ShedCounter,
 ) -> WorkerStats {
     let alloc = SnapshotAllocator::new(cfg.n, cfg.staleness, point_seed(cfg.seed, w as u64));
-    let leaf = SnapshotService::new(alloc, sink, clock);
-    let limited = InFlightLimitLayer::new(permits.clone()).layer(leaf);
-    let mut stack = LoadShedLayer::new(shed.clone()).layer(limited);
-    let mut stats = WorkerStats {
-        allocated: 0,
-        shed: 0,
-        refreshes: 0,
-    };
-    for _ in 0..cfg.requests_of_worker(w) {
+    let mut stack = worker_stack(SnapshotService::new(alloc, sink, clock), permits, shed);
+    let mut stats = WorkerStats::default();
+    for _ in 0..worker_share(cfg.requests, cfg.workers, w) {
         match stack.call(cfg.request) {
             Ok(_) => stats.allocated += 1,
             Err(ServeError::Shed) => stats.shed += 1,
@@ -293,7 +337,7 @@ pub fn run_concurrent(cfg: &ServeConfig) -> ServeOutcome {
 }
 
 /// Folds worker stats and the final state into a [`ServeOutcome`],
-/// asserting the conservation invariants.
+/// checking the conservation [`Ledger`].
 fn finish(
     cfg: &ServeConfig,
     stats: Vec<WorkerStats>,
@@ -301,33 +345,32 @@ fn finish(
     shed: &ShedCounter,
     state: &LoadState,
 ) -> ServeOutcome {
-    let allocated: u64 = stats.iter().map(|s| s.allocated).sum();
-    let shed_total: u64 = stats.iter().map(|s| s.shed).sum();
-    let refreshes: u64 = stats.iter().map(|s| s.refreshes).sum();
-    assert_eq!(
-        allocated + shed_total,
-        cfg.requests,
-        "every request must be either allocated or shed"
-    );
-    assert_eq!(
-        shed.count(),
-        shed_total,
-        "the shed layer's counter must agree with the workers'"
-    );
-    assert_eq!(
-        state.balls(),
-        allocated,
-        "the drained authoritative state must hold every allocated ball"
-    );
-    ServeOutcome::measure(cfg.requests, allocated, shed, refreshes, elapsed, state)
+    let ledger = Ledger {
+        allocated: stats.iter().map(|s| s.allocated).sum(),
+        shed: stats.iter().map(|s| s.shed).sum(),
+        ..Ledger::default()
+    };
+    ledger.check(cfg.requests, state.balls(), shed);
+    let secs = elapsed.as_secs_f64();
+    ServeOutcome {
+        requests: cfg.requests,
+        allocated: ledger.allocated,
+        shed: ledger.shed,
+        shed_buffer_full: shed.get(ShedCause::BufferFull),
+        shed_at_capacity: shed.get(ShedCause::AtCapacity),
+        refreshes: stats.iter().map(|s| s.refreshes).sum(),
+        elapsed,
+        throughput_rps: if secs > 0.0 { cfg.requests as f64 / secs } else { 0.0 },
+        gap: state.gap(),
+        max_load: state.max_load(),
+    }
 }
 
-/// Runs the **deterministic replay** engine: the same per-worker decision
-/// states as [`run_concurrent`] (same seeds, same stack semantics), but
-/// interleaved round-robin on the calling thread with direct shard
-/// access, so the decision stream — and therefore the digest, the final
-/// loads, the gap, and every count — is a pure function of the
-/// configuration and seed.
+/// Runs the **deterministic replay** engine: a loop over a
+/// [`Turnstile`] with the same per-worker seeds as [`run_concurrent`],
+/// so the decision stream — and therefore the digest, the final loads,
+/// the gap, and every count — is a pure function of the configuration
+/// and seed.
 ///
 /// This is the serving layer's extension of the workspace determinism
 /// contract: run it twice at the same seed and compare
@@ -351,41 +394,24 @@ fn finish(
 #[must_use]
 pub fn run_replay(cfg: &ServeConfig) -> ReplayOutcome {
     cfg.validate();
-    let mut sink = DirectCluster::new(cfg.n, cfg.shards);
-    let mut workers: Vec<SnapshotAllocator> = (0..cfg.workers)
-        .map(|w| SnapshotAllocator::new(cfg.n, cfg.staleness, point_seed(cfg.seed, w as u64)))
-        .collect();
+    let store = Rc::new(RefCell::new(DirectCluster::new(cfg.n, cfg.shards)));
+    let mut turnstile = Turnstile::new(&store, cfg.workers, cfg.staleness, cfg.seed);
     let mut digest = Fnv1a::new();
     // balloc-lint: allow(L002): wall-clock timing of the replay itself;
     // the decision digest above never reads it.
     let start = Instant::now();
-    for t in 0..cfg.requests {
-        let w = (t % cfg.workers as u64) as usize;
-        let alloc = &mut workers[w];
-        if alloc.needs_refresh(t) {
-            sink.refresh(alloc.snapshot_mut())
-                .expect("direct sinks cannot reject");
-            alloc.note_refresh(t);
-        }
-        let bin = alloc.decide(&cfg.request);
-        sink.apply(bin).expect("direct sinks cannot reject");
-        digest.write_u64(bin as u64);
+    for _ in 0..cfg.requests {
+        digest.write_u64(turnstile.serve(&cfg.request) as u64);
     }
     let elapsed = start.elapsed();
-    let stats = workers
-        .iter()
-        .enumerate()
-        .map(|(w, alloc)| WorkerStats {
-            // Round-robin assigns worker w exactly its concurrent-mode
-            // share (requests_of_worker): per + 1 for the first
-            // `requests % workers` workers.
-            allocated: cfg.requests_of_worker(w),
-            shed: 0,
-            refreshes: alloc.refreshes(),
-        })
-        .collect();
+    let stats = vec![WorkerStats {
+        allocated: cfg.requests,
+        shed: 0,
+        refreshes: turnstile.refreshes(),
+    }];
+    let state = store.borrow().state();
     ReplayOutcome {
-        outcome: finish(cfg, stats, elapsed, &ShedCounter::new(), &sink.state()),
+        outcome: finish(cfg, stats, elapsed, &ShedCounter::new(), &state),
         digest: digest.finish(),
     }
 }
@@ -415,6 +441,37 @@ mod tests {
         assert_eq!(a.outcome.gap, b.outcome.gap);
         assert_eq!(a.outcome.max_load, b.outcome.max_load);
         assert_eq!(a.outcome.allocated, b.outcome.allocated);
+    }
+
+    #[test]
+    fn turnstile_serves_workers_in_order_t_mod_w() {
+        // Reference: the replay step written out by hand — worker
+        // t mod W refreshes from the live loads when stale at global step
+        // t, decides, and applies.
+        let req = Request::two_choice();
+        for staleness in [Staleness::Batch { b: 8 }, Staleness::Delay { tau: 10 }] {
+            let store = Rc::new(RefCell::new(DirectCluster::new(64, 4)));
+            let mut turnstile = Turnstile::new(&store, 3, staleness, 5);
+            let mut reference: Vec<SnapshotAllocator> = (0..3)
+                .map(|w| SnapshotAllocator::new(64, staleness, point_seed(5, w)))
+                .collect();
+            let mut loads = vec![0u64; 64];
+            for t in 0..300u64 {
+                let w = (t % 3) as usize;
+                assert_eq!(turnstile.next_worker(), w, "t = {t}");
+                let alloc = &mut reference[w];
+                if alloc.needs_refresh(t) {
+                    alloc.snapshot_mut().copy_from_slice(&loads);
+                    alloc.note_refresh(t);
+                }
+                let expect = alloc.decide(&req);
+                loads[expect] += 1;
+                assert_eq!(turnstile.serve(&req), expect, "{staleness}, t = {t}");
+            }
+            let refreshes: u64 = reference.iter().map(SnapshotAllocator::refreshes).sum();
+            assert_eq!(turnstile.refreshes(), refreshes, "{staleness}");
+            assert_eq!(store.borrow().state().loads(), &loads[..], "{staleness}");
+        }
     }
 
     #[test]

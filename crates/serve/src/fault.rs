@@ -25,8 +25,7 @@
 
 use balloc_noise::CorruptKind;
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use crate::counters::{counter_events, Counters};
 
 /// How one shard misbehaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,65 +192,28 @@ pub struct ShardRole {
     pub corrupt: Option<(u64, CorruptKind)>,
 }
 
+counter_events! {
+    /// Events counted by the resilience engine's fault-injecting leaf.
+    FaultEvent {
+        /// A request drew extra latency from a slow shard.
+        Slowed,
+        /// A request stalled (terminated only by a deadline).
+        Stalled,
+        /// A request failed cleanly with `Faulted`.
+        Errored,
+        /// A snapshot refresh (each one an opportunity for load
+        /// corruption).
+        Refreshed,
+        /// A hedge duplicate's decision was moved off the first
+        /// attempt's shard (see [`HedgeSteer`](crate::HedgeSteer)).
+        Retargeted,
+    }
+}
+
 /// Shared counters of injected faults, for observability and the
 /// conformance ledger (every stall must reappear as a timeout, every
 /// clean error as a retry, shed, or surfaced failure).
-#[derive(Debug, Clone, Default)]
-pub struct FaultStats {
-    slowed: Arc<AtomicU64>,
-    stalled: Arc<AtomicU64>,
-    errored: Arc<AtomicU64>,
-    refreshes: Arc<AtomicU64>,
-}
-
-impl FaultStats {
-    /// Fresh counters at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests that drew extra latency from a slow shard.
-    #[must_use]
-    pub fn slowed(&self) -> u64 {
-        self.slowed.load(Ordering::Relaxed)
-    }
-
-    /// Requests that stalled (terminated only by a deadline).
-    #[must_use]
-    pub fn stalled(&self) -> u64 {
-        self.stalled.load(Ordering::Relaxed)
-    }
-
-    /// Requests that failed cleanly with `Faulted`.
-    #[must_use]
-    pub fn errored(&self) -> u64 {
-        self.errored.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot refreshes performed by the faulty backend (each one an
-    /// opportunity for load corruption).
-    #[must_use]
-    pub fn refreshes(&self) -> u64 {
-        self.refreshes.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn note_slowed(&self) {
-        self.slowed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_stalled(&self) {
-        self.stalled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_errored(&self) {
-        self.errored.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_refresh(&self) {
-        self.refreshes.fetch_add(1, Ordering::Relaxed);
-    }
-}
+pub type FaultStats = Counters<FaultEvent>;
 
 #[cfg(test)]
 mod tests {

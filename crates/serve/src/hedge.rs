@@ -25,6 +25,7 @@ use std::sync::Arc;
 
 use balloc_sim::VClock;
 
+use crate::counters::{counter_events, Counters};
 use crate::service::{Layer, ServeError, Service};
 
 /// A log₂-bucketed latency histogram (64 buckets cover all of `u64`),
@@ -142,40 +143,22 @@ impl HedgeConfig {
     }
 }
 
+counter_events! {
+    /// Events counted by [`Hedge`].
+    HedgeEvent {
+        /// A duplicate was issued (the first attempt was cut off at the
+        /// hedge delay).
+        Hedged,
+        /// A hedged request's duplicate succeeded.
+        Rescued,
+        /// A hedged request finished *later* than the aborted first
+        /// attempt would have — the cost side of the hedging ledger.
+        Regret,
+    }
+}
+
 /// Shared hedge observability counters.
-#[derive(Debug, Clone, Default)]
-pub struct HedgeStats {
-    hedged: Arc<AtomicU64>,
-    rescued: Arc<AtomicU64>,
-    regret: Arc<AtomicU64>,
-}
-
-impl HedgeStats {
-    /// Fresh counters at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Duplicates issued (first attempts cut off at the hedge delay).
-    #[must_use]
-    pub fn hedged(&self) -> u64 {
-        self.hedged.load(Ordering::Relaxed)
-    }
-
-    /// Hedged requests whose duplicate succeeded.
-    #[must_use]
-    pub fn rescued(&self) -> u64 {
-        self.rescued.load(Ordering::Relaxed)
-    }
-
-    /// Hedged requests that finished *later* than the aborted first
-    /// attempt would have — the cost side of the hedging ledger.
-    #[must_use]
-    pub fn regret(&self) -> u64 {
-        self.regret.load(Ordering::Relaxed)
-    }
-}
+pub type HedgeStats = Counters<HedgeEvent>;
 
 /// Sentinel slot meaning "no shard recorded".
 const NO_SLOT: u64 = u64::MAX;
@@ -190,7 +173,6 @@ const NO_SLOT: u64 = u64::MAX;
 pub struct HedgeSteer {
     last: Arc<AtomicU64>,
     avoid: Arc<AtomicU64>,
-    retargeted: Arc<AtomicU64>,
 }
 
 impl HedgeSteer {
@@ -200,7 +182,6 @@ impl HedgeSteer {
         Self {
             last: Arc::new(AtomicU64::new(NO_SLOT)),
             avoid: Arc::new(AtomicU64::new(NO_SLOT)),
-            retargeted: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -217,17 +198,6 @@ impl HedgeSteer {
             #[allow(clippy::cast_possible_truncation)]
             slot => Some(slot as usize),
         }
-    }
-
-    /// The leaf reports it moved a decision off the avoided slot.
-    pub fn note_retarget(&self) {
-        self.retargeted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Decisions moved off the avoided slot so far.
-    #[must_use]
-    pub fn retargeted(&self) -> u64 {
-        self.retargeted.load(Ordering::Relaxed)
     }
 
     /// Marks a duplicate in flight: avoid whatever the first attempt hit.
@@ -325,7 +295,7 @@ impl<Req: Clone, S: Service<Req>> Service<Req> for Hedge<S> {
             // hedging trigger, and passes through below.
             Err(ServeError::TimedOut) if self.clock.now() >= soft_deadline => {
                 let first_would_finish = self.clock.last_overrun();
-                self.stats.hedged.fetch_add(1, Ordering::Relaxed);
+                self.stats.bump(HedgeEvent::Hedged);
                 if let Some(steer) = &self.steer {
                     steer.begin_hedge();
                 }
@@ -335,11 +305,11 @@ impl<Req: Clone, S: Service<Req>> Service<Req> for Hedge<S> {
                 }
                 let end = self.clock.now();
                 if second.is_ok() {
-                    self.stats.rescued.fetch_add(1, Ordering::Relaxed);
+                    self.stats.bump(HedgeEvent::Rescued);
                     self.hist.record(end - start);
                 }
                 if first_would_finish.is_some_and(|t| t < end) {
-                    self.stats.regret.fetch_add(1, Ordering::Relaxed);
+                    self.stats.bump(HedgeEvent::Regret);
                 }
                 second
             }
@@ -446,7 +416,7 @@ mod tests {
         for i in 0..30 {
             assert_eq!(svc.call(i), Ok(i));
         }
-        assert_eq!(stats.hedged(), 0);
+        assert_eq!(stats.get(HedgeEvent::Hedged), 0);
         assert_eq!(svc.histogram().count(), 30);
     }
 
@@ -464,12 +434,12 @@ mod tests {
         };
         let mut svc = Hedge::new(backend, clock.clone(), cfg(5), stats.clone());
         assert_eq!(svc.call(7), Ok(7));
-        assert_eq!(stats.hedged(), 1);
-        assert_eq!(stats.rescued(), 1);
+        assert_eq!(stats.get(HedgeEvent::Hedged), 1);
+        assert_eq!(stats.get(HedgeEvent::Rescued), 1);
         // Waited 5 ticks for the first, then 2 for the duplicate.
         assert_eq!(clock.now(), 7);
         assert_eq!(
-            stats.regret(),
+            stats.get(HedgeEvent::Regret),
             0,
             "7 < 100: duplicating beat waiting, no regret"
         );
@@ -489,8 +459,8 @@ mod tests {
         };
         let mut svc = Hedge::new(backend, clock.clone(), cfg(5), stats.clone());
         assert_eq!(svc.call(1), Ok(1));
-        assert_eq!(stats.hedged(), 1);
-        assert_eq!(stats.regret(), 1, "finished at 15, waiting would have been 6");
+        assert_eq!(stats.get(HedgeEvent::Hedged), 1);
+        assert_eq!(stats.get(HedgeEvent::Regret), 1, "finished at 15, waiting would have been 6");
     }
 
     #[test]
@@ -517,15 +487,15 @@ mod tests {
         for i in 0..4 {
             assert_eq!(svc.call(i), Ok(i), "warm-up duplicates still complete");
         }
-        assert_eq!(stats.hedged(), 4, "every cold call hedged: 20-tick backend, 5-tick delay");
+        assert_eq!(stats.get(HedgeEvent::Hedged), 4, "every cold call hedged: 20-tick backend, 5-tick delay");
         // Hedged completions took 5 + 20 = 25 ticks → p90 rounds up to
         // the [16, 32) bucket bound.
         assert_eq!(svc.delay(), 31, "warm: quantile of observed latencies");
-        let before = stats.hedged();
+        let before = stats.get(HedgeEvent::Hedged);
         for i in 0..10 {
             assert_eq!(svc.call(i), Ok(i));
         }
-        assert_eq!(stats.hedged(), before, "the adapted delay covers the backend");
+        assert_eq!(stats.get(HedgeEvent::Hedged), before, "the adapted delay covers the backend");
     }
 
     #[test]
@@ -544,7 +514,7 @@ mod tests {
         let timed = Timeout::new(backend, clock.clone(), 3, TimeoutStats::new());
         let mut svc = Hedge::new(timed, clock.clone(), cfg(10), stats.clone());
         assert_eq!(svc.call(1), Err(ServeError::TimedOut));
-        assert_eq!(stats.hedged(), 0, "the inner timeout fired, not our delay");
+        assert_eq!(stats.get(HedgeEvent::Hedged), 0, "the inner timeout fired, not our delay");
         assert_eq!(clock.now(), 3);
     }
 

@@ -18,7 +18,7 @@
 //!  ┌───────────────────────────┐       ┌─────────────────────────┐
 //!  │ LoadShed                  │ cast  │ bounded queue ─ drain ─▶│
 //!  │  └ InFlightLimit          │──────▶│  ShardService           │
-//!  │     └ AllocService        │       │   owns LoadState        │
+//!  │     └ SnapshotService     │       │   owns LoadState        │
 //!  │        snapshot ◀─────────│◀──────│  (bins s·n/S..(s+1)n/S) │
 //!  │        (refresh: b / τ)    │ call  └─────────────────────────┘
 //!  └───────────────────────────┘            × S shards
@@ -34,7 +34,9 @@
 //!   snapshots refreshed every `b` own requests (`b-Batch`) or at age `τ`
 //!   (`τ-Delay`);
 //! * [`run_concurrent`]/[`run_replay`] — the closed-loop engine and its
-//!   deterministic single-threaded replay twin.
+//!   single-threaded replay twin, a loop over the [`Turnstile`] step;
+//! * [`Ledger`]/[`Counters`] — the one conservation identity and the one
+//!   counter shape every engine and layer shares.
 //!
 //! There is one store (the shards) and one snapshot path (a buffered
 //! [`ShardRequest::ReadLoads`] round-trip per shard): the paper's
@@ -60,8 +62,8 @@
 //! * [`FaultPlan`]/[`FaultKind`] — the adversaries: slow, stalled, and
 //!   erroring shards, plus `g`-Adv-Comp load corruption via
 //!   [`LoadCorruptor`](balloc_noise::LoadCorruptor);
-//! * [`run_resilient`] — drives fault plan against policy and asserts
-//!   the four-way conservation ledger: every request ends exactly once —
+//! * [`run_resilient`] — drives fault plan against policy and checks
+//!   the four-way [`Ledger`]: every request ends exactly once —
 //!   allocated, shed, timed out, or broken.
 //!
 //! # Determinism contract
@@ -101,10 +103,12 @@ mod breaker;
 mod buffer;
 mod churn;
 mod cluster;
+mod counters;
 mod directory;
 mod engine;
 mod fault;
 mod hedge;
+mod ledger;
 mod limit;
 mod rate;
 mod resilience;
@@ -117,28 +121,34 @@ mod snapshot;
 mod timeout;
 
 pub use autoscale::{AutoscaleConfig, Autoscaler, ScaleAction};
-pub use breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker, CircuitBreakerLayer};
+pub use breaker::{
+    BreakerConfig, BreakerEvent, BreakerState, BreakerStats, CircuitBreaker, CircuitBreakerLayer,
+};
 pub use buffer::{Buffer, BufferController};
 pub use churn::{run_churn, ChurnConfig, ChurnOutcome, ChurnReport, PlannedChange};
 pub use cluster::{DirectCluster, ShardCluster, ShardHandle, ShardWorkerHook};
+pub use counters::{CounterEvent, Counters};
 pub use directory::{
     BinMove, Change, MembershipEpoch, RebalanceKind, ShardDirectory, ShardId,
 };
 pub use engine::{
-    run_concurrent, run_replay, worker_share, BackendKind, ReplayOutcome, ServeConfig,
-    ServeOutcome, SnapshotPath,
+    run_concurrent, run_replay, worker_share, worker_stack, BackendKind, ReplayOutcome,
+    ServeConfig, ServeOutcome, SnapshotPath, Turnstile, WorkerStack,
 };
-pub use fault::{FaultKind, FaultPlan, FaultStats, FaultyShard, ShardRole};
-pub use hedge::{Hedge, HedgeConfig, HedgeLayer, HedgeStats, HedgeSteer, LatencyHistogram};
+pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultStats, FaultyShard, ShardRole};
+pub use hedge::{
+    Hedge, HedgeConfig, HedgeEvent, HedgeLayer, HedgeStats, HedgeSteer, LatencyHistogram,
+};
+pub use ledger::Ledger;
 pub use limit::{InFlightLimit, InFlightLimitLayer, Permits};
-pub use rate::{RateLimit, RateLimitConfig, RateLimitLayer, RateStats};
+pub use rate::{RateEvent, RateLimit, RateLimitConfig, RateLimitLayer, RateStats};
 pub use resilience::{
     run_resilient, Policy, ResilienceConfig, ResilienceOutcome, ResilienceReport,
 };
-pub use retry::{retryable, Retry, RetryBudget, RetryConfig, RetryLayer, RetryStats};
+pub use retry::{retryable, Retry, RetryBudget, RetryConfig, RetryEvent, RetryLayer, RetryStats};
 pub use service::{decide, Layer, NoiseMode, Request, Response, ServeError, Service};
 pub use shard::{merge_states, ShardRequest, ShardResponse, ShardService};
-pub use shed::{LoadShed, LoadShedLayer, ShedCounter};
+pub use shed::{LoadShed, LoadShedLayer, ShedCause, ShedCounter};
 pub use sink::{LoadSink, ServeClock, SnapshotService};
 pub use snapshot::{SnapshotAllocator, Staleness};
-pub use timeout::{Timeout, TimeoutLayer, TimeoutStats};
+pub use timeout::{Timeout, TimeoutEvent, TimeoutLayer, TimeoutStats};

@@ -17,11 +17,9 @@
 //! unlike permits, are *consumed* and cross-worker contention on a single
 //! atomic bucket would couple every worker's admission to scheduling.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use balloc_sim::VClock;
 
+use crate::counters::{counter_events, Counters};
 use crate::service::{Layer, ServeError, Service};
 
 /// Configuration of a [`RateLimit`] layer's token bucket.
@@ -48,25 +46,16 @@ impl RateLimitConfig {
     }
 }
 
+counter_events! {
+    /// Events counted by [`RateLimit`].
+    RateEvent {
+        /// A request was rejected by an empty token bucket.
+        Limited,
+    }
+}
+
 /// Shared counter of rate-limit rejections.
-#[derive(Debug, Clone, Default)]
-pub struct RateStats {
-    limited: Arc<AtomicU64>,
-}
-
-impl RateStats {
-    /// A fresh counter at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests rejected with an empty bucket.
-    #[must_use]
-    pub fn limited(&self) -> u64 {
-        self.limited.load(Ordering::Relaxed)
-    }
-}
+pub type RateStats = Counters<RateEvent>;
 
 /// A [`Service`] admitting requests through a clock-driven token bucket.
 #[derive(Debug, Clone)]
@@ -134,7 +123,7 @@ impl<Req, S: Service<Req>> Service<Req> for RateLimit<S> {
     fn call(&mut self, req: Req) -> Result<Self::Response, ServeError> {
         self.refill();
         if self.tokens == 0 {
-            self.stats.limited.fetch_add(1, Ordering::Relaxed);
+            self.stats.bump(RateEvent::Limited);
             return Err(ServeError::RateLimited);
         }
         self.tokens -= 1;
@@ -202,7 +191,7 @@ mod tests {
         }
         assert_eq!(svc.call(9), Err(ServeError::RateLimited));
         assert_eq!(svc.call(9), Err(ServeError::RateLimited));
-        assert_eq!(stats.limited(), 2);
+        assert_eq!(stats.get(RateEvent::Limited), 2);
     }
 
     #[test]

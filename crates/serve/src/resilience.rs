@@ -17,33 +17,33 @@
 //! what keeps the run's ledger closed: a request ends in exactly one of
 //! four terminal outcomes — **allocated**, **shed** (pressure or an
 //! unrecovered clean fault), **timed out**, or **broken** (circuit open)
-//! — and [`run_resilient`] asserts the four sum to the request count, the
-//! same conservation discipline the PR 5 engine enforces for its two
-//! outcomes.
+//! — and [`run_resilient`] checks the four against the request count
+//! through the same [`Ledger`] the other engines close.
 //!
 //! Everything is deterministic: decisions, fault draws, latencies, and
 //! therefore the [`ResilienceReport::digest`] are pure functions of
 //! `(config, seed)`. Latency percentiles are in virtual ticks; no
 //! wall-clock value appears anywhere in the output.
 
-use std::cell::{Cell, RefCell};
-use std::ops::Range;
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use balloc_core::rng::{point_seed, Fnv1a};
-use balloc_core::{LoadState, Rng};
+use balloc_core::Rng;
 use balloc_noise::LoadCorruptor;
 use balloc_sim::VClock;
 
-use crate::breaker::{BreakerConfig, BreakerStats, CircuitBreaker};
-use crate::directory::ShardDirectory;
-use crate::fault::{FaultPlan, FaultStats, ShardRole};
-use crate::hedge::{Hedge, HedgeConfig, HedgeStats, HedgeSteer};
+use crate::breaker::{BreakerConfig, BreakerEvent, BreakerStats, CircuitBreaker};
+use crate::cluster::DirectCluster;
+use crate::engine::validate_shape;
+use crate::fault::{FaultEvent, FaultPlan, FaultStats, ShardRole};
+use crate::hedge::{Hedge, HedgeConfig, HedgeEvent, HedgeStats, HedgeSteer};
+use crate::ledger::Ledger;
 use crate::rate::{RateLimit, RateLimitConfig, RateStats};
-use crate::retry::{Retry, RetryBudget, RetryConfig, RetryStats};
+use crate::retry::{Retry, RetryBudget, RetryConfig, RetryEvent, RetryStats};
 use crate::service::{Layer, Request, Response, ServeError, Service};
-use crate::shard::{merge_states, ShardRequest, ShardService};
-use crate::shed::{LoadShedLayer, ShedCounter};
+use crate::shed::{LoadShedLayer, ShedCause, ShedCounter};
+use crate::sink::{LoadSink, ServeClock};
 use crate::snapshot::{SnapshotAllocator, Staleness};
 
 /// Distinguishes the fault-draw RNG domain from the decision streams.
@@ -139,15 +139,7 @@ impl ResilienceConfig {
     }
 
     fn validate(&self) {
-        assert!(self.n > 0, "need at least one bin");
-        assert!(self.workers > 0, "need at least one worker");
-        assert!(
-            self.shards > 0 && self.shards <= self.n,
-            "shards must lie in 1..=n (got {} shards over {} bins)",
-            self.shards,
-            self.n
-        );
-        self.staleness.validate();
+        validate_shape(self.n, self.shards, self.workers, self.staleness);
         self.faults.validate(self.shards);
         self.policy.validate(&self.faults);
     }
@@ -219,21 +211,15 @@ pub struct ResilienceReport {
     pub digest: u64,
 }
 
-/// The shards, shared single-threaded across every worker's stack.
-type SharedShards = Rc<RefCell<Vec<ShardService>>>;
-
-/// The engine clock in *completed requests* (the staleness unit), shared
-/// across workers like the PR 5 engine's `Clock`.
-type Completed = Rc<Cell<u64>>;
-
-/// Everything the faulty leaves share: shard storage, roles, corruptors.
+/// Everything the faulty leaves share: the store, the staleness clock,
+/// shard roles, corruptors.
 struct Backend {
-    shards: SharedShards,
-    ranges: Vec<Range<usize>>,
+    store: RefCell<DirectCluster>,
+    /// Completed requests across workers: the staleness clock.
+    completed: ServeClock,
     roles: Vec<ShardRole>,
     corruptors: Vec<Option<LoadCorruptor>>,
     base_latency: u64,
-    directory: ShardDirectory,
 }
 
 /// The leaf service: refresh-if-stale (through the corruption filter),
@@ -245,11 +231,8 @@ struct FaultyAlloc {
     alloc: SnapshotAllocator,
     backend: Rc<Backend>,
     clock: VClock,
-    completed: Completed,
     fault_rng: Rng,
     stats: FaultStats,
-    /// Per-leaf refresh counter: the corruption epoch.
-    refresh_epoch: u64,
     /// Hedge→leaf shard-diversity channel: duplicates avoid the first
     /// attempt's shard when the directory has a second member.
     steer: HedgeSteer,
@@ -257,21 +240,20 @@ struct FaultyAlloc {
 
 impl FaultyAlloc {
     fn refresh(&mut self) {
-        {
-            let shards = self.backend.shards.borrow();
-            for shard in shards.iter() {
-                shard.publish_into(self.alloc.snapshot_mut());
-            }
-        }
-        self.refresh_epoch += 1;
-        let epoch = self.refresh_epoch;
-        for (s, corruptor) in self.backend.corruptors.iter().enumerate() {
+        self.backend
+            .store
+            .borrow_mut()
+            .refresh(self.alloc.snapshot_mut())
+            .expect("direct sinks cannot reject");
+        // The corruption epoch: this leaf's refresh count, this refresh included.
+        let epoch = self.alloc.refreshes() + 1;
+        let ranges = self.backend.store.borrow().directory().ranges();
+        for (range, corruptor) in ranges.into_iter().zip(&self.backend.corruptors) {
             if let Some(c) = corruptor {
-                let range = self.backend.ranges[s].clone();
                 c.corrupt(&mut self.alloc.snapshot_mut()[range], epoch);
             }
         }
-        self.stats.note_refresh();
+        self.stats.bump(FaultEvent::Refreshed);
     }
 }
 
@@ -279,7 +261,7 @@ impl Service<Request> for FaultyAlloc {
     type Response = Response;
 
     fn call(&mut self, req: Request) -> Result<Response, ServeError> {
-        let now = self.completed.get();
+        let now = self.backend.completed.now();
         if self.alloc.needs_refresh(now) {
             self.refresh();
             self.alloc.note_refresh(now);
@@ -287,20 +269,24 @@ impl Service<Request> for FaultyAlloc {
         let mut bin = self.alloc.decide(&req);
         // A hedge duplicate in flight avoids the first attempt's shard —
         // a true second choice in space — unless it is the only member.
-        if let Some(avoid) = self.steer.avoid() {
-            if self.backend.directory.len() >= 2 && self.backend.directory.slot_of(bin) == avoid {
-                bin = self.backend.directory.retarget(bin, avoid);
-                self.steer.note_retarget();
+        let s = {
+            let store = self.backend.store.borrow();
+            let directory = store.directory();
+            if let Some(avoid) = self.steer.avoid() {
+                if directory.len() >= 2 && directory.slot_of(bin) == avoid {
+                    bin = directory.retarget(bin, avoid);
+                    self.stats.bump(FaultEvent::Retargeted);
+                }
             }
-        }
-        let s = self.backend.directory.slot_of(bin);
+            directory.slot_of(bin)
+        };
         self.steer.note_attempt(s);
         let role = self.backend.roles[s];
 
         let mut latency = self.backend.base_latency;
         if role.slow_extra > 0 {
             latency = latency.saturating_add(1 + self.fault_rng.below(2 * role.slow_extra));
-            self.stats.note_slowed();
+            self.stats.bump(FaultEvent::Slowed);
         }
         // Draw stall and error up front so the RNG stream consumed per
         // request depends only on the shard's role, never on the outcome.
@@ -312,7 +298,7 @@ impl Service<Request> for FaultyAlloc {
         if stalls {
             // The shard never answers: burn time until a deadline ends
             // the wait. Policy validation guarantees one is active.
-            self.stats.note_stalled();
+            self.stats.bump(FaultEvent::Stalled);
             let _ = self.clock.advance(u64::MAX);
             return Err(ServeError::TimedOut);
         }
@@ -322,13 +308,12 @@ impl Service<Request> for FaultyAlloc {
             return Err(ServeError::TimedOut);
         }
         if errors {
-            self.stats.note_errored();
+            self.stats.bump(FaultEvent::Errored);
             return Err(ServeError::Faulted);
         }
-        self.backend.shards.borrow_mut()[s]
-            .call(ShardRequest::Apply { bin })
-            .expect("direct shards cannot reject");
-        self.completed.set(self.completed.get() + 1);
+        let mut store = self.backend.store.borrow_mut();
+        store.apply(bin).expect("direct sinks cannot reject");
+        self.backend.completed.tick();
         Ok(Response { bin })
     }
 }
@@ -337,6 +322,7 @@ impl Service<Request> for FaultyAlloc {
 type BoxAlloc = Box<dyn Service<Request, Response = Response>>;
 
 /// All the per-layer counters of one run, shared across workers.
+#[derive(Default)]
 struct PolicyStats {
     shed: ShedCounter,
     retry: RetryStats,
@@ -347,25 +333,21 @@ struct PolicyStats {
 }
 
 /// Builds worker `w`'s stack per the policy, innermost (leaf) outward.
-#[allow(clippy::too_many_arguments)]
 fn build_stack(
     cfg: &ResilienceConfig,
     w: usize,
     backend: &Rc<Backend>,
     clock: &VClock,
-    completed: &Completed,
     budget: &RetryBudget,
     stats: &PolicyStats,
-    steer: &HedgeSteer,
 ) -> crate::shed::LoadShed<BoxAlloc> {
+    let steer = HedgeSteer::new();
     let leaf = FaultyAlloc {
         alloc: SnapshotAllocator::new(cfg.n, cfg.staleness, point_seed(cfg.seed, w as u64)),
         backend: Rc::clone(backend),
         clock: clock.clone(),
-        completed: Rc::clone(completed),
         fault_rng: Rng::from_seed(point_seed(point_seed(cfg.seed, FAULT_STREAM), w as u64)),
         stats: stats.fault.clone(),
-        refresh_epoch: 0,
         steer: steer.clone(),
     };
     let mut stack: BoxAlloc = Box::new(leaf);
@@ -427,21 +409,16 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 ///
 /// Panics on an invalid configuration (see [`ResilienceConfig`],
 /// [`FaultPlan::validate`], [`Policy::validate`]) and if the terminal
-/// outcomes fail to conserve the request count — that assertion is the
-/// contract, not a debug aid.
+/// outcomes fail to close the [`Ledger`] — that check is the contract,
+/// not a debug aid.
 #[must_use]
 pub fn run_resilient(cfg: &ResilienceConfig) -> ResilienceReport {
     cfg.validate();
     let clock = VClock::new();
-    let completed: Completed = Rc::new(Cell::new(0));
-    let directory = ShardDirectory::uniform(cfg.n, cfg.shards);
-    let ranges = directory.ranges();
-    let shards: SharedShards = Rc::new(RefCell::new(
-        ranges.iter().cloned().map(ShardService::new).collect(),
-    ));
     let corrupt_seed = point_seed(cfg.seed, CORRUPT_STREAM);
     let backend = Rc::new(Backend {
-        shards: Rc::clone(&shards),
+        store: RefCell::new(DirectCluster::new(cfg.n, cfg.shards)),
+        completed: ServeClock::new(),
         roles: (0..cfg.shards).map(|s| cfg.faults.role_of(s)).collect(),
         corruptors: (0..cfg.shards)
             .map(|s| {
@@ -450,26 +427,16 @@ pub fn run_resilient(cfg: &ResilienceConfig) -> ResilienceReport {
                 })
             })
             .collect(),
-        ranges,
         base_latency: cfg.faults.base_latency,
-        directory,
     });
-    let stats = PolicyStats {
-        shed: ShedCounter::new(),
-        retry: RetryStats::new(),
-        rate: RateStats::new(),
-        hedge: HedgeStats::new(),
-        breaker: BreakerStats::new(),
-        fault: FaultStats::new(),
-    };
+    let stats = PolicyStats::default();
     let budget = RetryBudget::new(&cfg.policy.retry.unwrap_or_default());
-    let steers: Vec<HedgeSteer> = (0..cfg.workers).map(|_| HedgeSteer::new()).collect();
     let mut stacks: Vec<_> = (0..cfg.workers)
-        .map(|w| build_stack(cfg, w, &backend, &clock, &completed, &budget, &stats, &steers[w]))
+        .map(|w| build_stack(cfg, w, &backend, &clock, &budget, &stats))
         .collect();
 
     let mut digest = Fnv1a::new();
-    let (mut allocated, mut shed, mut timed_out, mut broken) = (0u64, 0u64, 0u64, 0u64);
+    let mut ledger = Ledger::default();
     let mut latencies: Vec<u64> = Vec::new();
     for t in 0..cfg.requests {
         let w = (t % cfg.workers as u64) as usize;
@@ -478,20 +445,20 @@ pub fn run_resilient(cfg: &ResilienceConfig) -> ResilienceReport {
         let end = clock.now();
         let (code, bin) = match result {
             Ok(resp) => {
-                allocated += 1;
+                ledger.allocated += 1;
                 latencies.push(end - start);
                 (0u64, resp.bin as u64)
             }
             Err(ServeError::Shed) => {
-                shed += 1;
+                ledger.shed += 1;
                 (1, u64::MAX)
             }
             Err(ServeError::TimedOut) => {
-                timed_out += 1;
+                ledger.timed_out += 1;
                 (2, u64::MAX)
             }
             Err(ServeError::Broken) => {
-                broken += 1;
+                ledger.broken += 1;
                 (3, u64::MAX)
             }
             Err(e) => panic!("non-terminal error escaped the stack: {e}"),
@@ -504,45 +471,29 @@ pub fn run_resilient(cfg: &ResilienceConfig) -> ResilienceReport {
             .expect("no deadline is active between requests");
     }
 
-    assert_eq!(
-        allocated + shed + timed_out + broken,
-        cfg.requests,
-        "every request must end in exactly one terminal outcome"
-    );
-    assert_eq!(
-        stats.shed.total(),
-        shed,
-        "the shed layer's counter must agree with the loop's tally"
-    );
-    let state: LoadState = merge_states(&shards.borrow());
-    assert_eq!(
-        state.balls(),
-        allocated,
-        "the authoritative state must hold exactly one ball per allocated request"
-    );
-
-    let refreshes = stats.fault.refreshes();
+    let state = backend.store.borrow().state();
+    ledger.check(cfg.requests, state.balls(), &stats.shed);
     latencies.sort_unstable();
     let outcome = ResilienceOutcome {
         requests: cfg.requests,
-        allocated,
-        shed,
-        timed_out,
-        broken,
-        shed_rate_limited: stats.shed.rate_limited(),
-        shed_faulted: stats.shed.faulted(),
-        retries: stats.retry.retries(),
-        retries_exhausted: stats.retry.exhausted(),
-        hedged: stats.hedge.hedged(),
-        hedge_rescued: stats.hedge.rescued(),
-        hedge_regret: stats.hedge.regret(),
-        hedge_retargeted: steers.iter().map(HedgeSteer::retargeted).sum(),
-        breaker_trips: stats.breaker.opened(),
-        breaker_rejections: stats.breaker.broken(),
-        faults_slowed: stats.fault.slowed(),
-        faults_stalled: stats.fault.stalled(),
-        faults_errored: stats.fault.errored(),
-        refreshes,
+        allocated: ledger.allocated,
+        shed: ledger.shed,
+        timed_out: ledger.timed_out,
+        broken: ledger.broken,
+        shed_rate_limited: stats.shed.get(ShedCause::RateLimited),
+        shed_faulted: stats.shed.get(ShedCause::Faulted),
+        retries: stats.retry.get(RetryEvent::Retried),
+        retries_exhausted: stats.retry.get(RetryEvent::Exhausted),
+        hedged: stats.hedge.get(HedgeEvent::Hedged),
+        hedge_rescued: stats.hedge.get(HedgeEvent::Rescued),
+        hedge_regret: stats.hedge.get(HedgeEvent::Regret),
+        hedge_retargeted: stats.fault.get(FaultEvent::Retargeted),
+        breaker_trips: stats.breaker.get(BreakerEvent::Opened),
+        breaker_rejections: stats.breaker.get(BreakerEvent::Broken),
+        faults_slowed: stats.fault.get(FaultEvent::Slowed),
+        faults_stalled: stats.fault.get(FaultEvent::Stalled),
+        faults_errored: stats.fault.get(FaultEvent::Errored),
+        refreshes: stats.fault.get(FaultEvent::Refreshed),
         gap: state.gap(),
         max_load: state.max_load(),
         latency_p50: percentile(&latencies, 0.50),

@@ -25,6 +25,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::counters::{counter_events, Counters};
 use crate::service::{Layer, ServeError, Service};
 
 /// Whether an error is worth retrying: transient backend failures only.
@@ -131,32 +132,18 @@ impl RetryBudget {
     }
 }
 
+counter_events! {
+    /// Events counted by [`Retry`].
+    RetryEvent {
+        /// A retry attempt was issued.
+        Retried,
+        /// A retryable failure was given up on because the budget was empty.
+        Exhausted,
+    }
+}
+
 /// Shared retry observability counters.
-#[derive(Debug, Clone, Default)]
-pub struct RetryStats {
-    retries: Arc<AtomicU64>,
-    exhausted: Arc<AtomicU64>,
-}
-
-impl RetryStats {
-    /// Fresh counters at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Retry attempts actually issued.
-    #[must_use]
-    pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
-    }
-
-    /// Retryable failures given up on because the budget was empty.
-    #[must_use]
-    pub fn exhausted(&self) -> u64 {
-        self.exhausted.load(Ordering::Relaxed)
-    }
-}
+pub type RetryStats = Counters<RetryEvent>;
 
 /// A [`Service`] retrying transient inner failures under a shared budget.
 #[derive(Debug, Clone)]
@@ -198,9 +185,9 @@ impl<Req: Clone, S: Service<Req>> Service<Req> for Retry<S> {
                 Err(e) if retryable(e) && attempt < self.max_retries => {
                     if self.budget.withdraw() {
                         attempt += 1;
-                        self.stats.retries.fetch_add(1, Ordering::Relaxed);
+                        self.stats.bump(RetryEvent::Retried);
                     } else {
-                        self.stats.exhausted.fetch_add(1, Ordering::Relaxed);
+                        self.stats.bump(RetryEvent::Exhausted);
                         return Err(e);
                     }
                 }
@@ -283,8 +270,8 @@ mod tests {
                 stats.clone(),
             );
             assert_eq!(svc.call(5), Ok(5), "{error:?}");
-            assert_eq!(stats.retries(), 2);
-            assert_eq!(stats.exhausted(), 0);
+            assert_eq!(stats.get(RetryEvent::Retried), 2);
+            assert_eq!(stats.get(RetryEvent::Exhausted), 0);
         }
     }
 
@@ -303,7 +290,7 @@ mod tests {
             stats.clone(),
         );
         assert_eq!(svc.call(1), Err(ServeError::Faulted));
-        assert_eq!(stats.retries(), 3, "max_retries attempts after the first");
+        assert_eq!(stats.get(RetryEvent::Retried), 3, "max_retries attempts after the first");
     }
 
     #[test]
@@ -329,7 +316,7 @@ mod tests {
                 stats.clone(),
             );
             assert_eq!(svc.call(1), Err(error));
-            assert_eq!(stats.retries(), 0, "{error:?} must not be retried");
+            assert_eq!(stats.get(RetryEvent::Retried), 0, "{error:?} must not be retried");
         }
     }
 
@@ -356,19 +343,30 @@ mod tests {
             stats.clone(),
         );
         assert_eq!(svc.call(1), Err(ServeError::Faulted));
-        assert_eq!(stats.retries(), 1, "the full bucket paid for one retry");
-        assert_eq!(stats.exhausted(), 1);
-        let before = stats.retries();
+        assert_eq!(
+            stats.get(RetryEvent::Retried),
+            1,
+            "the full bucket paid for one retry"
+        );
+        assert_eq!(stats.get(RetryEvent::Exhausted), 1);
+        let before = stats.get(RetryEvent::Retried);
         for i in 0..50 {
             assert_eq!(svc.call(i), Err(ServeError::Faulted));
         }
         // 50 deposits at 1 refill half a withdrawal — no retry yet...
-        assert_eq!(stats.retries(), before, "deposits have not covered a retry");
+        assert_eq!(
+            stats.get(RetryEvent::Retried),
+            before,
+            "deposits have not covered a retry"
+        );
         for i in 0..60 {
             assert_eq!(svc.call(i), Err(ServeError::Faulted));
         }
         // ...but ~110 deposits cover one more.
-        assert!(stats.retries() > before, "deposits must eventually re-arm retries");
+        assert!(
+            stats.get(RetryEvent::Retried) > before,
+            "deposits must eventually re-arm retries"
+        );
     }
 
     #[test]
@@ -394,7 +392,7 @@ mod tests {
         });
         let _ = a.call(1);
         let _ = b.call(1);
-        assert_eq!(stats.retries(), 1, "one bucket, one paid retry across clones");
+        assert_eq!(stats.get(RetryEvent::Retried), 1, "one bucket, one paid retry across clones");
         assert_eq!(budget.tokens(), 0);
     }
 

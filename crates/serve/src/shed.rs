@@ -14,85 +14,42 @@
 //! The per-cause split exists because the resilience engine's
 //! conservation accounting needs to attribute every shed to the layer
 //! that produced the pressure (was the buffer full, or did the retry
-//! budget run dry against a faulty shard?). [`ShedCounter::total`] — and
-//! its historical alias [`ShedCounter::count`] — still report the single
-//! number the PR 5 conservation assertion checks.
+//! budget run dry against a faulty shard?). [`Counters::total`] still
+//! reports the single number the [`Ledger`](crate::Ledger) checks.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
+use crate::counters::{counter_events, Counters};
 use crate::service::{Layer, ServeError, Service};
 
-/// Per-cause shed tallies (see [`ShedCounter`]).
-#[derive(Debug, Default)]
-struct Causes {
-    buffer_full: AtomicU64,
-    at_capacity: AtomicU64,
-    rate_limited: AtomicU64,
-    faulted: AtomicU64,
+counter_events! {
+    /// Why a request was shed: the pressure error [`LoadShed`] converted.
+    ShedCause {
+        /// A full bounded buffer ([`ServeError::BufferFull`]).
+        BufferFull,
+        /// The in-flight limit ([`ServeError::AtCapacity`]).
+        AtCapacity,
+        /// An empty rate-limit token bucket ([`ServeError::RateLimited`]).
+        RateLimited,
+        /// A backend fault that survived the retry layer
+        /// ([`ServeError::Faulted`]).
+        Faulted,
+    }
 }
 
 /// Shared counter of shed requests (one per service stack, cloned into
-/// every worker's [`LoadShed`] layer), attributed per pressure cause.
-#[derive(Debug, Clone, Default)]
-pub struct ShedCounter {
-    causes: Arc<Causes>,
-}
+/// every worker's [`LoadShed`] layer), attributed per [`ShedCause`].
+pub type ShedCounter = Counters<ShedCause>;
 
-impl ShedCounter {
-    /// A fresh counter at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Total requests shed so far, over all causes.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.buffer_full() + self.at_capacity() + self.rate_limited() + self.faulted()
-    }
-
-    /// Alias for [`total`](Self::total) — the pre-split name, kept so the
-    /// engine's PR 5 conservation assertion reads identically.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.total()
-    }
-
-    /// Sheds caused by a full bounded buffer.
-    #[must_use]
-    pub fn buffer_full(&self) -> u64 {
-        self.causes.buffer_full.load(Ordering::Relaxed)
-    }
-
-    /// Sheds caused by the in-flight limit.
-    #[must_use]
-    pub fn at_capacity(&self) -> u64 {
-        self.causes.at_capacity.load(Ordering::Relaxed)
-    }
-
-    /// Sheds caused by an empty rate-limit token bucket.
-    #[must_use]
-    pub fn rate_limited(&self) -> u64 {
-        self.causes.rate_limited.load(Ordering::Relaxed)
-    }
-
-    /// Sheds caused by a backend fault that survived the retry layer.
-    #[must_use]
-    pub fn faulted(&self) -> u64 {
-        self.causes.faulted.load(Ordering::Relaxed)
-    }
-
+impl Counters<ShedCause> {
     /// Records a shed for the pressure error `cause`, if it is one.
     fn record(&self, cause: ServeError) -> bool {
-        let slot = match cause {
-            ServeError::BufferFull => &self.causes.buffer_full,
-            ServeError::AtCapacity => &self.causes.at_capacity,
-            ServeError::RateLimited => &self.causes.rate_limited,
-            ServeError::Faulted => &self.causes.faulted,
+        let cause = match cause {
+            ServeError::BufferFull => ShedCause::BufferFull,
+            ServeError::AtCapacity => ShedCause::AtCapacity,
+            ServeError::RateLimited => ShedCause::RateLimited,
+            ServeError::Faulted => ShedCause::Faulted,
             _ => return false,
         };
-        slot.fetch_add(1, Ordering::Relaxed);
+        self.bump(cause);
         true
     }
 }
@@ -202,7 +159,7 @@ mod tests {
                 }
             }
             assert_eq!((ok, shed), (66, 33));
-            assert_eq!(counter.count(), 33);
+            assert_eq!(counter.total(), 33);
         }
     }
 
@@ -219,12 +176,11 @@ mod tests {
         by_cause(ServeError::AtCapacity, 3);
         by_cause(ServeError::RateLimited, 2);
         by_cause(ServeError::Faulted, 1);
-        assert_eq!(counter.buffer_full(), 4);
-        assert_eq!(counter.at_capacity(), 3);
-        assert_eq!(counter.rate_limited(), 2);
-        assert_eq!(counter.faulted(), 1);
+        assert_eq!(counter.get(ShedCause::BufferFull), 4);
+        assert_eq!(counter.get(ShedCause::AtCapacity), 3);
+        assert_eq!(counter.get(ShedCause::RateLimited), 2);
+        assert_eq!(counter.get(ShedCause::Faulted), 1);
         assert_eq!(counter.total(), 10, "causes must sum to the total");
-        assert_eq!(counter.count(), counter.total(), "back-compat alias");
     }
 
     #[test]
@@ -240,7 +196,7 @@ mod tests {
                 counter.clone(),
             );
             assert_eq!(svc.call(1), Err(terminal));
-            assert_eq!(counter.count(), 0);
+            assert_eq!(counter.total(), 0);
         }
     }
 }

@@ -1,13 +1,13 @@
 //! The decision-state/backend seam: [`LoadSink`], [`ServeClock`], and the
 //! leaf service [`SnapshotService`] every serving engine shares.
 //!
-//! PR 5's engine kept these as private internals; the TCP front-end
-//! (`balloc-net`) needs to terminate connections in its own reactor while
-//! dispatching into the *same* leaf — decide against a per-worker
-//! snapshot, apply through a sink, tick the shared clock — so the seam is
-//! now public. The in-process engine ([`run_concurrent`](crate::run_concurrent) /
-//! [`run_replay`](crate::run_replay)) and the socket server are two
-//! drivers of one service.
+//! The TCP front-end (`balloc-net`) terminates connections in its own
+//! reactor while dispatching into the *same* leaf — decide against a
+//! per-worker snapshot, apply through a sink, tick the shared clock — so
+//! the seam is public. The in-process engines
+//! ([`run_concurrent`](crate::run_concurrent) /
+//! [`run_replay`](crate::run_replay)) and the socket server are drivers
+//! of one service.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,9 +39,11 @@ pub trait LoadSink {
     fn refresh(&mut self, snapshot: &mut [u64]) -> Result<(), ServeError>;
 }
 
-/// The engine clock: completed requests across all workers — the "slots"
-/// unit of [`Staleness::Delay`](crate::Staleness::Delay). Cloning shares
-/// the underlying counter.
+/// The engine clock: requests whose ball landed, across all workers —
+/// the "slots" unit of [`Staleness::Delay`](crate::Staleness::Delay).
+/// [`SnapshotService`] ticks it only after a successful apply, so a
+/// rejected request ages no snapshot. Cloning shares the underlying
+/// counter.
 #[derive(Debug, Clone, Default)]
 pub struct ServeClock(Arc<AtomicU64>);
 
@@ -65,14 +67,15 @@ impl ServeClock {
 }
 
 /// The leaf service of every serving stack: refresh-if-stale, decide
-/// against the private snapshot, apply through the sink, tick the clock.
+/// against the private snapshot, apply through the sink, tick the clock
+/// if the apply succeeded.
 ///
-/// Wrap it in [`InFlightLimit`](crate::InFlightLimit) /
-/// [`LoadShed`](crate::LoadShed) (and optionally the PR 6 resilience
-/// layers) for per-request dispatch, or drive
-/// [`call_block`](Self::call_block) for pipelined block dispatch where a
-/// whole window of identical-template requests is decided in one pass —
-/// the socket server's hot path.
+/// Wrap it in [`worker_stack`](crate::worker_stack) (and optionally the
+/// resilience layers) for per-request dispatch, run several over one
+/// direct store in a [`Turnstile`](crate::Turnstile) for deterministic
+/// replay, or drive [`call_block`](Self::call_block) for pipelined block
+/// dispatch where a whole window of identical-template requests is
+/// decided in one pass — the socket server's hot path.
 #[derive(Debug)]
 pub struct SnapshotService<K> {
     alloc: SnapshotAllocator,
@@ -101,24 +104,32 @@ impl<K: LoadSink> SnapshotService<K> {
         self.alloc.refreshes()
     }
 
-    /// The worker's decision state (tests and diagnostics).
-    #[must_use]
-    pub fn allocator(&self) -> &SnapshotAllocator {
-        &self.alloc
+    /// Refreshes the snapshot if it is stale at the current clock, and
+    /// returns that clock reading.
+    fn refresh_if_stale(&mut self) -> Result<u64, ServeError> {
+        let now = self.clock.now();
+        if self.alloc.needs_refresh(now) {
+            self.sink.refresh(self.alloc.snapshot_mut())?;
+            self.alloc.note_refresh(now);
+        }
+        Ok(now)
     }
 
     /// Serves a whole pipelined block of `count` identical-template
     /// requests, calling `emit` once per request in decision order.
     ///
-    /// Decisions are **bit-identical** to `count` successive
-    /// [`call`](Service::call)s when no other worker interleaves (the
-    /// single-threaded reactor regime): refresh checks happen at exactly
-    /// the same clock points, and
-    /// [`SnapshotAllocator::decide_run`] pins the RNG stream. The win is
-    /// structural — one refresh check per run instead of per request, all
-    /// candidate draws filled in one batched pass, no per-request layer
-    /// traversal — which is what lets request pipelining feed the PR 4/8
-    /// hot path full blocks instead of single balls.
+    /// Decisions, rejections, refreshes and clock ticks are
+    /// **bit-identical** to `count` successive [`call`](Service::call)s
+    /// when no other worker interleaves (the single-threaded reactor
+    /// regime): each run is decided against one snapshot up to the next
+    /// point where `call` could refresh, and
+    /// [`SnapshotAllocator::decide_run`] pins the RNG stream. A rejected
+    /// apply does not tick the clock, so the next run is re-planned from
+    /// the clock as it stands. The win is structural — one refresh check
+    /// per run instead of per request, all candidate draws filled in one
+    /// batched pass, no per-request layer traversal — which is what lets
+    /// request pipelining feed the batched hot path full blocks instead
+    /// of single balls.
     ///
     /// A sink rejection (bounded buffer full) is reported for the request
     /// it struck and serving continues with the next request, mirroring
@@ -131,20 +142,17 @@ impl<K: LoadSink> SnapshotService<K> {
     ) {
         let mut remaining = count;
         while remaining > 0 {
-            let now = self.clock.now();
-            if self.alloc.needs_refresh(now) {
-                match self.sink.refresh(self.alloc.snapshot_mut()) {
-                    Ok(()) => self.alloc.note_refresh(now),
-                    Err(e) => {
-                        // A refresh that cannot read the store rejects the
-                        // request that demanded it; the next request
-                        // retries the refresh.
-                        emit(Err(e));
-                        remaining -= 1;
-                        continue;
-                    }
+            let now = match self.refresh_if_stale() {
+                Ok(now) => now,
+                Err(e) => {
+                    // A refresh that cannot read the store rejects the
+                    // request that demanded it; the next request
+                    // retries the refresh.
+                    emit(Err(e));
+                    remaining -= 1;
+                    continue;
                 }
-            }
+            };
             #[allow(clippy::cast_possible_truncation)]
             let run = self
                 .alloc
@@ -157,7 +165,9 @@ impl<K: LoadSink> SnapshotService<K> {
             self.alloc.decide_run(req, run, &mut bins);
             for &bin in &bins {
                 let applied = self.sink.apply(bin);
-                self.clock.tick();
+                if applied.is_ok() {
+                    self.clock.tick();
+                }
                 emit(applied.map(|()| Response { bin }));
             }
             self.block = bins;
@@ -170,11 +180,7 @@ impl<K: LoadSink> Service<Request> for SnapshotService<K> {
     type Response = Response;
 
     fn call(&mut self, req: Request) -> Result<Response, ServeError> {
-        let now = self.clock.now();
-        if self.alloc.needs_refresh(now) {
-            self.sink.refresh(self.alloc.snapshot_mut())?;
-            self.alloc.note_refresh(now);
-        }
+        self.refresh_if_stale()?;
         let bin = self.alloc.decide(&req);
         self.sink.apply(bin)?;
         self.clock.tick();
@@ -198,6 +204,31 @@ mod tests {
 
         fn refresh(&mut self, snapshot: &mut [u64]) -> Result<(), ServeError> {
             snapshot.copy_from_slice(&self.0);
+            Ok(())
+        }
+    }
+
+    /// A sink over one plain load vector that rejects the apply attempts
+    /// whose (0-based) index is listed in `reject`.
+    struct RejectingSink {
+        loads: Vec<u64>,
+        attempts: u64,
+        reject: Vec<u64>,
+    }
+
+    impl LoadSink for RejectingSink {
+        fn apply(&mut self, bin: usize) -> Result<(), ServeError> {
+            let attempt = self.attempts;
+            self.attempts += 1;
+            if self.reject.contains(&attempt) {
+                return Err(ServeError::BufferFull);
+            }
+            self.loads[bin] += 1;
+            Ok(())
+        }
+
+        fn refresh(&mut self, snapshot: &mut [u64]) -> Result<(), ServeError> {
+            snapshot.copy_from_slice(&self.loads);
             Ok(())
         }
     }
@@ -291,5 +322,50 @@ mod tests {
         assert_eq!(served, 1_000);
         assert_eq!(leaf.sink.0.iter().sum::<u64>(), 1_000);
         assert_eq!(leaf.clock.now(), 1_000);
+    }
+
+    #[test]
+    fn rejected_applies_do_not_tick_the_clock_on_either_path() {
+        // τ = 2 with the first apply rejected: the clock must count
+        // completed requests only, so both paths refresh before request 3
+        // (not before request 2), and block dispatch stays bit-identical
+        // to per-request dispatch.
+        let req = Request::two_choice();
+        for (staleness, reject) in [
+            (Staleness::Delay { tau: 2 }, vec![0u64]),
+            (Staleness::Delay { tau: 5 }, vec![1, 2, 3, 17, 40, 41]),
+            (Staleness::Batch { b: 4 }, vec![0, 6, 7, 30]),
+        ] {
+            let make = || {
+                SnapshotService::new(
+                    SnapshotAllocator::new(4, staleness, 5),
+                    RejectingSink {
+                        loads: vec![0; 4],
+                        attempts: 0,
+                        reject: reject.clone(),
+                    },
+                    ServeClock::new(),
+                )
+            };
+            let mut per_request = make();
+            let mut blocked = make();
+            let expect: Vec<Result<usize, ServeError>> = (0..60)
+                .map(|_| per_request.call(req).map(|r| r.bin))
+                .collect();
+            let mut got = Vec::new();
+            for count in [1u64, 2, 9, 48] {
+                blocked.call_block(&req, count, &mut |r| got.push(r.map(|r| r.bin)));
+            }
+            assert_eq!(got, expect, "{staleness}");
+            assert_eq!(blocked.refreshes(), per_request.refreshes(), "{staleness}");
+            let successes = expect.iter().filter(|r| r.is_ok()).count() as u64;
+            assert_eq!(successes, 60 - reject.len() as u64, "{staleness}");
+            assert_eq!(
+                per_request.clock.now(),
+                successes,
+                "{staleness}: per-request clock"
+            );
+            assert_eq!(blocked.clock.now(), successes, "{staleness}: block clock");
+        }
     }
 }

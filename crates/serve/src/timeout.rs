@@ -16,33 +16,22 @@
 //! can tell whether *its own* deadline was the one that fired by
 //! comparing the clock against it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use balloc_sim::VClock;
 
+use crate::counters::{counter_events, Counters};
 use crate::service::{Layer, ServeError, Service};
+
+counter_events! {
+    /// Events counted by [`Timeout`].
+    TimeoutEvent {
+        /// An attempt outlived its deadline at this layer.
+        TimedOut,
+    }
+}
 
 /// Shared counter of requests that timed out under a [`Timeout`] layer's
 /// own deadline (cloned into every worker's stack).
-#[derive(Debug, Clone, Default)]
-pub struct TimeoutStats {
-    timed_out: Arc<AtomicU64>,
-}
-
-impl TimeoutStats {
-    /// A fresh counter at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests this layer timed out.
-    #[must_use]
-    pub fn timed_out(&self) -> u64 {
-        self.timed_out.load(Ordering::Relaxed)
-    }
-}
+pub type TimeoutStats = Counters<TimeoutEvent>;
 
 /// A [`Service`] bounding each inner call to `budget` virtual ticks.
 #[derive(Debug, Clone)]
@@ -95,7 +84,7 @@ impl<Req, S: Service<Req>> Service<Req> for Timeout<S> {
         // timeout, a hedge soft deadline) may have fired first, in which
         // case the clock stopped short of our deadline.
         if matches!(result, Err(ServeError::TimedOut)) && self.clock.now() >= deadline {
-            self.stats.timed_out.fetch_add(1, Ordering::Relaxed);
+            self.stats.bump(TimeoutEvent::TimedOut);
         }
         result
     }
@@ -167,7 +156,7 @@ mod tests {
         for i in 0..10 {
             assert_eq!(svc.call(i), Ok(i));
         }
-        assert_eq!(stats.timed_out(), 0);
+        assert_eq!(stats.get(TimeoutEvent::TimedOut), 0);
         assert_eq!(clock.now(), 30);
         assert_eq!(clock.deadline(), None, "deadlines popped after each call");
     }
@@ -182,11 +171,11 @@ mod tests {
         };
         let mut svc = Timeout::new(backend, clock.clone(), 5, stats.clone());
         assert_eq!(svc.call(1), Err(ServeError::TimedOut));
-        assert_eq!(stats.timed_out(), 1);
+        assert_eq!(stats.get(TimeoutEvent::TimedOut), 1);
         assert_eq!(clock.now(), 5, "the caller waited out its full budget");
         assert_eq!(svc.call(2), Err(ServeError::TimedOut));
         assert_eq!(clock.now(), 10, "each attempt restarts from the current tick");
-        assert_eq!(stats.timed_out(), 2);
+        assert_eq!(stats.get(TimeoutEvent::TimedOut), 2);
     }
 
     #[test]
@@ -203,8 +192,8 @@ mod tests {
         let inner = Timeout::new(backend, clock.clone(), 4, inner_stats.clone());
         let mut outer = Timeout::new(inner, clock.clone(), 50, outer_stats.clone());
         assert_eq!(outer.call(1), Err(ServeError::TimedOut));
-        assert_eq!(inner_stats.timed_out(), 1);
-        assert_eq!(outer_stats.timed_out(), 0, "the inner deadline fired, not ours");
+        assert_eq!(inner_stats.get(TimeoutEvent::TimedOut), 1);
+        assert_eq!(outer_stats.get(TimeoutEvent::TimedOut), 0, "the inner deadline fired, not ours");
         assert_eq!(clock.now(), 4);
     }
 

@@ -27,10 +27,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use balloc_serve::{
-    BreakerConfig, BreakerStats, Buffer, BufferController, CircuitBreaker, Hedge, HedgeConfig,
-    HedgeStats, InFlightLimitLayer, Layer, LoadShed, LoadShedLayer, Permits, RateLimit,
-    RateLimitConfig, RateStats, Retry, RetryBudget, RetryConfig, RetryStats, ServeError, Service,
-    ShedCounter, Timeout, TimeoutStats,
+    BreakerConfig, BreakerEvent, BreakerStats, Buffer, BufferController, CircuitBreaker, Hedge,
+    HedgeConfig, HedgeEvent, HedgeStats, InFlightLimitLayer, Layer, LoadShed, LoadShedLayer,
+    Permits, RateEvent, RateLimit, RateLimitConfig, RateStats, Retry, RetryBudget, RetryConfig,
+    RetryEvent, RetryStats, ServeError, Service, ShedCause, ShedCounter, Timeout, TimeoutStats,
 };
 use balloc_sim::VClock;
 use proptest::prelude::*;
@@ -284,19 +284,19 @@ proptest! {
         prop_assert_eq!(counters.completions(), out.allocated);
         // 3. The attempt ledger balances, whatever the layer order.
         prop_assert_eq!(
-            n + stats.retry.retries() + stats.hedge.hedged(),
-            counters.calls() + stats.rate.limited() + stats.breaker.broken(),
+            n + stats.retry.get(RetryEvent::Retried) + stats.hedge.get(HedgeEvent::Hedged),
+            counters.calls() + stats.rate.get(RateEvent::Limited) + stats.breaker.get(BreakerEvent::Broken),
             "attempt ledger: {} requests, {} retries, {} hedges vs {} backend calls, {} rate-limited, {} broken",
-            n, stats.retry.retries(), stats.hedge.hedged(),
-            counters.calls(), stats.rate.limited(), stats.breaker.broken()
+            n, stats.retry.get(RetryEvent::Retried), stats.hedge.get(HedgeEvent::Hedged),
+            counters.calls(), stats.rate.get(RateEvent::Limited), stats.breaker.get(BreakerEvent::Broken)
         );
         // 4. Shed attribution sums to the observed sheds.
         prop_assert_eq!(stats.shed.total(), out.shed);
         prop_assert_eq!(
-            stats.shed.buffer_full()
-                + stats.shed.at_capacity()
-                + stats.shed.rate_limited()
-                + stats.shed.faulted(),
+            stats.shed.get(ShedCause::BufferFull)
+                + stats.shed.get(ShedCause::AtCapacity)
+                + stats.shed.get(ShedCause::RateLimited)
+                + stats.shed.get(ShedCause::Faulted),
             out.shed,
             "per-cause shed counters must sum to the total"
         );
@@ -317,7 +317,7 @@ proptest! {
         let out = drive(&mut stack, &clock, n);
         prop_assert_eq!(out.total(), n);
         prop_assert_eq!(
-            counters.calls() + stats.breaker.broken(),
+            counters.calls() + stats.breaker.get(BreakerEvent::Broken),
             n,
             "each request either reached the backend or was rejected Broken"
         );

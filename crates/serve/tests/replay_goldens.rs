@@ -13,8 +13,8 @@
 //! say so in the commit.
 
 use balloc_serve::{
-    run_churn, run_replay, AutoscaleConfig, ChurnConfig, NoiseMode, PlannedChange,
-    RebalanceKind, Request, ServeConfig, Staleness,
+    run_churn, run_replay, AutoscaleConfig, ChurnConfig, NoiseMode, PlannedChange, RebalanceKind,
+    Request, ServeConfig, Staleness,
 };
 
 /// 64 bins, 512 requests, seed 2022, over `shards` shards and `workers`
@@ -31,6 +31,7 @@ const BATCH: Staleness = Staleness::Batch { b: 16 };
 const DELAY: Staleness = Staleness::Delay { tau: 24 };
 
 /// `(name, config, golden digest)` for the replay grid.
+#[rustfmt::skip]
 fn replay_goldens() -> Vec<(&'static str, ServeConfig, u64)> {
     let mut noisy = replay_cfg(4, 3, BATCH);
     noisy.request = Request {
@@ -92,6 +93,7 @@ fn hash_slot() -> ChurnConfig {
 }
 
 /// `(name, config, golden digest, golden membership digest)`.
+#[rustfmt::skip]
 fn churn_goldens() -> Vec<(&'static str, ChurnConfig, u64, u64)> {
     vec![
         ("static", churn_base(), 0x5639_ec6f_c4b7_1624, 0x9956_e5ef_dc18_b4c5),
@@ -144,9 +146,17 @@ fn churn_golden_configs_exercise_their_regimes() {
     };
     assert_eq!(stat.changes, 0, "static: no membership change");
     assert!(stat.departures > 0, "static: departures still run");
-    assert!(script.removes >= 2 && script.inserts >= 2, "scripted: {script:?}");
+    assert!(
+        script.removes >= 2 && script.inserts >= 2,
+        "scripted: {script:?}"
+    );
     assert!(script.migrated > 0, "scripted: balls migrate");
-    assert!(auto.autoscale_outs > 0, "autoscaled: shed pressure scales out");
-    assert!(hash.moved_bins > script.moved_bins, "hash-slot reshuffles more bins");
+    assert!(
+        auto.autoscale_outs > 0,
+        "autoscaled: shed pressure scales out"
+    );
+    assert!(
+        hash.moved_bins > script.moved_bins,
+        "hash-slot reshuffles more bins"
+    );
 }
-
