@@ -25,7 +25,7 @@
 //! `(config, seed)`. Latency percentiles are in virtual ticks; no
 //! wall-clock value appears anywhere in the output.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use balloc_core::rng::{point_seed, Fnv1a};
@@ -43,7 +43,7 @@ use crate::rate::{RateLimit, RateLimitConfig, RateStats};
 use crate::retry::{Retry, RetryBudget, RetryConfig, RetryEvent, RetryStats};
 use crate::service::{Layer, Request, Response, ServeError, Service};
 use crate::shed::{LoadShedLayer, ShedCause, ShedCounter};
-use crate::sink::{LoadSink, ServeClock};
+use crate::sink::LoadSink;
 use crate::snapshot::{SnapshotAllocator, Staleness};
 
 /// Distinguishes the fault-draw RNG domain from the decision streams.
@@ -215,8 +215,10 @@ pub struct ResilienceReport {
 /// shard roles, corruptors.
 struct Backend {
     store: RefCell<DirectCluster>,
-    /// Completed requests across workers: the staleness clock.
-    completed: ServeClock,
+    /// Completed requests across workers: the staleness clock. A plain
+    /// cell, not a [`ServeClock`](crate::ServeClock): the engine is
+    /// single-threaded, so no tick needs an atomic read-modify-write.
+    completed: Cell<u64>,
     roles: Vec<ShardRole>,
     corruptors: Vec<Option<LoadCorruptor>>,
     base_latency: u64,
@@ -261,7 +263,7 @@ impl Service<Request> for FaultyAlloc {
     type Response = Response;
 
     fn call(&mut self, req: Request) -> Result<Response, ServeError> {
-        let now = self.backend.completed.now();
+        let now = self.backend.completed.get();
         if self.alloc.needs_refresh(now) {
             self.refresh();
             self.alloc.note_refresh(now);
@@ -313,7 +315,7 @@ impl Service<Request> for FaultyAlloc {
         }
         let mut store = self.backend.store.borrow_mut();
         store.apply(bin).expect("direct sinks cannot reject");
-        self.backend.completed.tick();
+        self.backend.completed.set(self.backend.completed.get() + 1);
         Ok(Response { bin })
     }
 }
@@ -418,7 +420,7 @@ pub fn run_resilient(cfg: &ResilienceConfig) -> ResilienceReport {
     let corrupt_seed = point_seed(cfg.seed, CORRUPT_STREAM);
     let backend = Rc::new(Backend {
         store: RefCell::new(DirectCluster::new(cfg.n, cfg.shards)),
-        completed: ServeClock::new(),
+        completed: Cell::new(0),
         roles: (0..cfg.shards).map(|s| cfg.faults.role_of(s)).collect(),
         corruptors: (0..cfg.shards)
             .map(|s| {
