@@ -14,16 +14,17 @@
 //! deferred-aggregate batch fails here.
 
 use balloc_core::{
-    LoadState, PerfectDecider, Process, Rng, TieBreak, TwoChoice,
+    Decider, LoadState, PerfectDecider, Process, Rng, TieBreak, TwoChoice,
 };
 use balloc_noise::{
-    AdvComp, AdvLoad, Batched, DelayStrategy, Delayed, GBounded, GMyopic, GaussianLoadDecider,
-    NoisyMeanThinning, OverloadSeeking, PerturbStrategy, QueryComp, ReverseAll,
-    ReverseWithProbability, SigmaNoisyLoad, ThresholdNoise, UniformRandom,
+    AdvComp, AdvLoad, Batched, ConstantRho, CorrectAll, DelayStrategy, Delayed, GBounded,
+    GMyopic, GaussianLoadDecider, GaussianRho, NoisyComp, NoisyMeanThinning, OverloadSeeking,
+    PerturbStrategy, QueryComp, ReverseAll, ReverseWithProbability, SigmaNoisyLoad,
+    ThresholdNoise, UniformRandom,
 };
 use balloc_processes::{
-    AlwaysFirst, AlwaysHeavier, DChoice, GraphicalTwoChoice, MeanThinning, NonUniformTwoChoice,
-    OneChoice, OnePlusBeta, Topology, TwoThinning,
+    AlwaysFirst, AlwaysHeavier, AlwaysLighter, DChoice, GraphicalTwoChoice, MeanThinning,
+    NonUniformTwoChoice, OneChoice, OnePlusBeta, Topology, TwoThinning,
 };
 use proptest::prelude::*;
 
@@ -341,4 +342,99 @@ fn harness_detects_stream_divergence() {
     p.run_batch(&mut b, 10, &mut b_rng);
     assert_eq!(a, b, "loads should agree for the cheater");
     assert_ne!(a_rng, b_rng, "the extra draw must desynchronize the rng");
+}
+
+/// Which engine every decider in the workspace is eligible for: the pair
+/// `(reads_exact(), totals_free())` that `TwoChoice::run_batch` and
+/// `DChoice::run_batch` branch on. A change to either promise moves a
+/// decider to a different engine, so it must show up here as a diff.
+#[test]
+fn engine_eligibility_is_pinned() {
+    fn promises(d: &dyn Decider) -> (bool, bool) {
+        (d.reads_exact(), d.totals_free())
+    }
+    let table: Vec<(&str, (bool, bool), (bool, bool))> = vec![
+        (
+            "perfect_first_sample",
+            promises(&PerfectDecider::new(TieBreak::FirstSample)),
+            (true, true),
+        ),
+        (
+            "perfect_lowest_index",
+            promises(&PerfectDecider::new(TieBreak::LowestIndex)),
+            (true, true),
+        ),
+        (
+            "perfect_random",
+            promises(&PerfectDecider::new(TieBreak::Random)),
+            (false, false),
+        ),
+        ("always_first", promises(&AlwaysFirst), (true, false)),
+        ("always_lighter", promises(&AlwaysLighter), (true, false)),
+        ("always_heavier", promises(&AlwaysHeavier), (true, false)),
+        (
+            "adv_comp_reverse_all",
+            promises(&AdvComp::new(2, ReverseAll)),
+            (true, true),
+        ),
+        (
+            "adv_comp_uniform_random",
+            promises(&AdvComp::new(2, UniformRandom)),
+            (true, true),
+        ),
+        (
+            "adv_comp_correct_all",
+            promises(&AdvComp::new(2, CorrectAll)),
+            (true, true),
+        ),
+        (
+            "adv_comp_overload_seeking",
+            promises(&AdvComp::new(2, OverloadSeeking)),
+            (true, false),
+        ),
+        (
+            "adv_comp_reverse_p0",
+            promises(&AdvComp::new(2, ReverseWithProbability::new(0.0))),
+            (true, true),
+        ),
+        (
+            "adv_comp_reverse_p0.3",
+            promises(&AdvComp::new(2, ReverseWithProbability::new(0.3))),
+            (true, true),
+        ),
+        (
+            "adv_comp_reverse_p1",
+            promises(&AdvComp::new(2, ReverseWithProbability::new(1.0))),
+            (true, true),
+        ),
+        (
+            "adv_load_reverse",
+            promises(&AdvLoad::new(2, PerturbStrategy::Reverse)),
+            (true, false),
+        ),
+        (
+            "adv_load_uniform",
+            promises(&AdvLoad::new(2, PerturbStrategy::Uniform)),
+            (false, false),
+        ),
+        (
+            "noisy_comp_constant_0.7",
+            promises(&NoisyComp::new(ConstantRho::new(0.7))),
+            (true, true),
+        ),
+        (
+            "noisy_comp_gaussian_3",
+            promises(&NoisyComp::new(GaussianRho::new(3.0))),
+            (true, true),
+        ),
+        (
+            "gaussian_load",
+            promises(&GaussianLoadDecider::new(2.0)),
+            (false, false),
+        ),
+        ("query_comp", promises(&QueryComp::new(3)), (false, false)),
+    ];
+    for (name, got, want) in table {
+        assert_eq!(got, want, "{name}: (reads_exact, totals_free) changed");
+    }
 }
