@@ -48,8 +48,5 @@ pub mod stats;
 
 pub use alias::AliasTable;
 pub use load::{LoadBatch, LoadState};
-pub use process::{
-    run_lanes_reference, Decider, DecisionProbability, LaneProcess, PerfectDecider, Process,
-    TieBreak, TwoChoice,
-};
-pub use rng::{lane_seed, LaneRng, Rng, SampleBuf, SeedScheme, SplitMix64};
+pub use process::{Decider, DecisionProbability, PerfectDecider, Process, TieBreak, TwoChoice};
+pub use rng::{Rng, SplitMix64};

@@ -18,7 +18,10 @@
 //! | L003 | nondet-iteration-in-digest | digest paths never iterate hash collections |
 //! | L004 | unseeded-rng-construction | no literal seeds in library/binary code |
 //! | L005 | println-in-library | libraries emit through `OutputSink`, not `println!` |
-//! | L006 | unversioned-seed-scheme | `LaneRng` construction names a literal `SeedScheme::` variant |
+//! | L006 | *retired* | reserved; it policed the seeding scheme of the removed lane engine |
+//! | L007 | blocking-in-reactor | reactor code never blocks: no `read_exact`/`write_all`/`recv` |
+//! | L008 | raw-shard-index | bin-to-shard arithmetic goes through `ShardDirectory` |
+//! | L009 | ledger-arithmetic | conservation sums go through `balloc_serve::Ledger` |
 //!
 //! Findings can be suppressed per line with a trailing or preceding
 //! comment — `// balloc-lint: allow(L001): <justification>` — or per file

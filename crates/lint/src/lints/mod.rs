@@ -9,7 +9,6 @@ mod l002_wallclock_in_sim;
 mod l003_nondet_iteration;
 mod l004_unseeded_rng;
 mod l005_println_in_library;
-mod l006_unversioned_seed_scheme;
 mod l007_blocking_in_reactor;
 mod l008_raw_shard_index;
 mod l009_ledger_arithmetic;
@@ -47,7 +46,8 @@ pub trait Lint: Sync {
     fn check(&self, cx: &FileContext, out: &mut Vec<Diagnostic>);
 }
 
-/// Every registered lint in code order.
+/// Every registered lint in code order. Retired codes (L006) stay
+/// reserved: a code is never reused for a different contract.
 #[must_use]
 pub fn registry() -> &'static [&'static dyn Lint] {
     static REGISTRY: &[&dyn Lint] = &[
@@ -56,7 +56,6 @@ pub fn registry() -> &'static [&'static dyn Lint] {
         &l003_nondet_iteration::NondetIteration,
         &l004_unseeded_rng::UnseededRng,
         &l005_println_in_library::PrintlnInLibrary,
-        &l006_unversioned_seed_scheme::UnversionedSeedScheme,
         &l007_blocking_in_reactor::BlockingInReactor,
         &l008_raw_shard_index::RawShardIndex,
         &l009_ledger_arithmetic::LedgerArithmetic,

@@ -77,11 +77,6 @@ impl<S: CompStrategy> Decider for AdvComp<S> {
     // The window test reads only the two loads; every promise is the
     // in-window strategy's.
     #[inline]
-    fn batchable(&self) -> bool {
-        self.strategy.batchable()
-    }
-
-    #[inline]
     fn reads_exact(&self) -> bool {
         self.strategy.reads_exact()
     }

@@ -106,9 +106,10 @@ impl Decider for AdvLoad {
     }
 
     #[inline]
-    fn batchable(&self) -> bool {
-        // The reversing adversary is deterministic and reads only the two
-        // loads; the uniform perturbation draws per comparison.
+    fn reads_exact(&self) -> bool {
+        // Both strategies read only the two loads. The uniform
+        // perturbation stays on the per-ball engine until a measurement
+        // shows the deferred one pays for its draws.
         matches!(self.strategy, PerturbStrategy::Reverse)
     }
 }

@@ -111,7 +111,7 @@ impl<R: RhoFunction> Decider for NoisyComp<R> {
 
     #[inline]
     fn reads_exact(&self) -> bool {
-        // Reads the two loads only; the coins keep it off the lane kernels.
+        // Reads the two loads only; its coins are drawn in per-ball order.
         true
     }
 

@@ -47,23 +47,13 @@ pub trait CompStrategy {
     /// Clears any per-run internal state.
     fn reset(&mut self) {}
 
-    /// [`Decider::batchable`](balloc_core::Decider::batchable) for the
-    /// strategy: `choose` never draws from the `Rng` and reads only
-    /// always-exact state quantities (loads, ball count, average).
-    /// Propagated by [`AdvComp`](crate::AdvComp), so `g-Adv-Comp` runs
-    /// under the lane kernels exactly when its adversary permits it.
-    /// Defaults to `false` (always safe).
-    fn batchable(&self) -> bool {
-        false
-    }
-
     /// [`Decider::reads_exact`](balloc_core::Decider::reads_exact) for the
-    /// strategy: `choose` reads only always-exact state quantities, and
-    /// may draw. Propagated by [`AdvComp`](crate::AdvComp) to pick the
-    /// scalar deferred-aggregate engine. Defaults to
-    /// [`batchable`](Self::batchable).
+    /// strategy: `choose` reads only always-exact state quantities (loads,
+    /// ball count, average), and may draw. Propagated by
+    /// [`AdvComp`](crate::AdvComp) to pick the scalar deferred-aggregate
+    /// engine. Defaults to `false` (always safe).
     fn reads_exact(&self) -> bool {
-        self.batchable()
+        false
     }
 
     /// [`Decider::totals_free`](balloc_core::Decider::totals_free) for the
@@ -107,7 +97,7 @@ impl CompStrategy for ReverseAll {
     }
 
     #[inline]
-    fn batchable(&self) -> bool {
+    fn reads_exact(&self) -> bool {
         true
     }
 
@@ -159,8 +149,7 @@ impl CompStrategy for UniformRandom {
 
     #[inline]
     fn reads_exact(&self) -> bool {
-        // Reads no state at all; only the coin draw keeps it off the lane
-        // kernels.
+        // Reads no state at all; the coin is drawn in per-ball order.
         true
     }
 
@@ -202,7 +191,7 @@ impl CompStrategy for CorrectAll {
     }
 
     #[inline]
-    fn batchable(&self) -> bool {
+    fn reads_exact(&self) -> bool {
         true
     }
 
@@ -268,12 +257,6 @@ impl CompStrategy for ReverseWithProbability {
     }
 
     #[inline]
-    fn batchable(&self) -> bool {
-        // `Rng::chance` short-circuits without drawing at the extremes.
-        self.p <= 0.0 || self.p >= 1.0
-    }
-
-    #[inline]
     fn reads_exact(&self) -> bool {
         // Reads the two loads only, whatever it draws.
         true
@@ -336,10 +319,10 @@ impl CompStrategy for OverloadSeeking {
     }
 
     #[inline]
-    fn batchable(&self) -> bool {
+    fn reads_exact(&self) -> bool {
         // Reads loads and the average (ball count), both always exact
-        // inside a deferred-aggregate batch; draws nothing. It reads the
-        // average, so it is not totals-free.
+        // inside a deferred-aggregate batch. It reads the average, so it
+        // is not totals-free.
         true
     }
 }

@@ -17,7 +17,7 @@ impl Decider for AlwaysFirst {
     }
 
     #[inline]
-    fn batchable(&self) -> bool {
+    fn reads_exact(&self) -> bool {
         true
     }
 }
@@ -46,7 +46,7 @@ impl Decider for AlwaysLighter {
     }
 
     #[inline]
-    fn batchable(&self) -> bool {
+    fn reads_exact(&self) -> bool {
         true
     }
 }
@@ -80,7 +80,7 @@ impl Decider for AlwaysHeavier {
     }
 
     #[inline]
-    fn batchable(&self) -> bool {
+    fn reads_exact(&self) -> bool {
         true
     }
 }

@@ -79,8 +79,8 @@ pub use distribution::GapDistribution;
 pub use report::{csv_escape, to_json, Block, OutputMode, OutputSink, Report, TextTable};
 pub use schedule::ArrivalSchedule;
 pub use runner::{
-    gaps, repeat, repeat_grid, repeat_grid_traced, repeat_traced, run, run_lanes, run_observed,
-    run_on_state, run_traced, GapTrace, NoObserver, RunResult, StepObserver, TracePoint,
+    gaps, repeat, repeat_grid, repeat_grid_traced, repeat_traced, run, run_observed, run_on_state,
+    run_traced, GapTrace, NoObserver, RunResult, StepObserver, TracePoint,
 };
 pub use sweep::{series, sweep, sweep_traced, SweepPoint};
 pub use vclock::{DeadlineExpired, VClock};

@@ -4,23 +4,22 @@
 //! every fixed seed: same final load vector (including all maintained
 //! aggregates) and the same number of raw draws consumed from the
 //! generator. This suite runs every registered process — every decider
-//! class, both `batchable` and not, every tie rule, every topology, every
-//! staleness model — against the per-ball reference, splitting the batched
-//! run at arbitrary chunk boundaries, and compares the final `LoadState`
-//! **and** the final `Rng` state.
+//! class, on both sides of `reads_exact` and `totals_free`, every tie rule,
+//! every topology, every staleness model — against the per-ball reference,
+//! splitting the batched run at arbitrary chunk boundaries, and compares
+//! the final `LoadState` **and** the final `Rng` state. It is the only
+//! check that backs a decider's `reads_exact`/`totals_free` promise.
 //!
 //! A process that pre-draws samples it does not consume, reorders draws
 //! relative to its per-ball body, or reads a stale aggregate inside a
 //! deferred-aggregate batch fails here.
 
-use balloc_core::{
-    Decider, LoadState, PerfectDecider, Process, Rng, TieBreak, TwoChoice,
-};
+use balloc_core::{Decider, LoadState, PerfectDecider, Process, Rng, TieBreak, TwoChoice};
 use balloc_noise::{
-    AdvComp, AdvLoad, Batched, ConstantRho, CorrectAll, DelayStrategy, Delayed, GBounded,
-    GMyopic, GaussianLoadDecider, GaussianRho, NoisyComp, NoisyMeanThinning, OverloadSeeking,
-    PerturbStrategy, QueryComp, ReverseAll, ReverseWithProbability, SigmaNoisyLoad,
-    ThresholdNoise, UniformRandom,
+    AdvComp, AdvLoad, Batched, BoundedRho, ConstantRho, CorrectAll, DelayStrategy, Delayed,
+    GBounded, GMyopic, GaussianLoadDecider, GaussianRho, MyopicRho, NoisyComp, NoisyMeanThinning,
+    OverloadSeeking, PerturbStrategy, QueryComp, ReverseAll, ReverseWithProbability,
+    SigmaNoisyLoad, ThresholdNoise, UniformRandom,
 };
 use balloc_processes::{
     AlwaysFirst, AlwaysHeavier, AlwaysLighter, DChoice, GraphicalTwoChoice, MeanThinning,
@@ -52,6 +51,9 @@ fn registry() -> Vec<Entry> {
         ("two_choice_always_first", |n| {
             (n, Box::new(TwoChoice::new(AlwaysFirst)))
         }),
+        ("two_choice_always_lighter", |n| {
+            (n, Box::new(TwoChoice::new(AlwaysLighter)))
+        }),
         ("two_choice_always_heavier", |n| {
             (n, Box::new(TwoChoice::new(AlwaysHeavier)))
         }),
@@ -70,6 +72,15 @@ fn registry() -> Vec<Entry> {
                 Box::new(DChoice::with_decider(3, AdvComp::new(2, UniformRandom))),
             )
         }),
+        ("d_choice_3_noisy_comp_constant_0.7", |n| {
+            (
+                n,
+                Box::new(DChoice::with_decider(
+                    3,
+                    NoisyComp::new(ConstantRho::new(0.7)),
+                )),
+            )
+        }),
         ("one_plus_beta_0", |n| (n, Box::new(OnePlusBeta::new(0.0)))),
         ("one_plus_beta_0.6", |n| (n, Box::new(OnePlusBeta::new(0.6)))),
         ("one_plus_beta_1", |n| (n, Box::new(OnePlusBeta::new(1.0)))),
@@ -82,6 +93,9 @@ fn registry() -> Vec<Entry> {
         ("two_thinning_neg2", |n| (n, Box::new(TwoThinning::new(-2.0)))),
         ("g_bounded_3", |n| (n, Box::new(GBounded::new(3)))),
         ("g_myopic_3", |n| (n, Box::new(GMyopic::new(3)))),
+        ("adv_comp_correct_all", |n| {
+            (n, Box::new(TwoChoice::new(AdvComp::new(2, CorrectAll))))
+        }),
         ("adv_comp_overload_seeking", |n| {
             (n, Box::new(TwoChoice::new(AdvComp::new(3, OverloadSeeking))))
         }),
@@ -125,6 +139,24 @@ fn registry() -> Vec<Entry> {
             )
         }),
         ("sigma_noisy_load_3", |n| (n, Box::new(SigmaNoisyLoad::new(3.0)))),
+        ("noisy_comp_constant_0.7", |n| {
+            (
+                n,
+                Box::new(TwoChoice::new(NoisyComp::new(ConstantRho::new(0.7)))),
+            )
+        }),
+        ("noisy_comp_bounded_2", |n| {
+            (
+                n,
+                Box::new(TwoChoice::new(NoisyComp::new(BoundedRho::new(2)))),
+            )
+        }),
+        ("noisy_comp_myopic_2", |n| {
+            (
+                n,
+                Box::new(TwoChoice::new(NoisyComp::new(MyopicRho::new(2)))),
+            )
+        }),
         ("gaussian_load_2", |n| {
             (n, Box::new(TwoChoice::new(GaussianLoadDecider::new(2.0))))
         }),
@@ -350,10 +382,12 @@ fn harness_detects_stream_divergence() {
 /// decider to a different engine, so it must show up here as a diff.
 #[test]
 fn engine_eligibility_is_pinned() {
-    fn promises(d: &dyn Decider) -> (bool, bool) {
+    /// `(reads_exact, totals_free)`.
+    type Promises = (bool, bool);
+    fn promises(d: &dyn Decider) -> Promises {
         (d.reads_exact(), d.totals_free())
     }
-    let table: Vec<(&str, (bool, bool), (bool, bool))> = vec![
+    let table: Vec<(&str, Promises, Promises)> = vec![
         (
             "perfect_first_sample",
             promises(&PerfectDecider::new(TieBreak::FirstSample)),
